@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CondensedRegion, DomainError
+from .errors import CondensedRegion, ConvergenceError, DomainError
 from .gas import GasSpec, as_natural, prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
@@ -101,7 +101,13 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
     else:
         regime = REGIME_NORMAL
         P_nat = conv.pressure_in(P)
-        r_nat = solve_bose_equation(nu + 1.0, T_nat * pref, P_nat, T_nat)
+        try:
+            r_nat = solve_bose_equation(nu + 1.0, T_nat * pref, P_nat, T_nat)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"isobar gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
+                f"T={T!r}, P={P!r}: {exc}"
+            ) from exc
         rho_nat = pref * bose_g(nu, r_nat / T_nat).value
 
     rho = conv.density_out(rho_nat)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PoleError, ZeroTemperatureBEC
+from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
 from .gas import GasSpec, as_natural, prefactor_A
 from .rootfind import solve_bose_equation
 from .special import bose_g, zeta
@@ -137,9 +137,15 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     else:
         regime = REGIME_NORMAL
         psi2 = 0.0
-        r_nat = solve_bose_equation(
-            nu, _density_prefactor(nat, T_nat), rho_nat, T_nat
-        )
+        try:
+            r_nat = solve_bose_equation(
+                nu, _density_prefactor(nat, T_nat), rho_nat, T_nat
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
+                f"T={T!r}, rho={rho!r}: {exc}"
+            ) from exc
 
     P = pressure_at(spec, T, conv.energy_out(r_nat))
     return ThermoPoint(

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import bose_eos
+import bose_eos.cli
+import bose_eos.isochore
 from bose_eos import GasSpec, critical_temperature_density
 
 
@@ -226,3 +228,18 @@ def test_si_units_accepted():
     doc = json.loads(proc.stdout)
     assert doc["units"] == "si"
     assert 0.0 < doc["T_c"] < 1e-3  # dilute gas condenses at sub-mK kelvin
+
+
+def test_convergence_failure_exits_three_and_names_the_solve(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise bose_eos.ConvergenceError("root finder did not converge")
+
+    monkeypatch.setattr(bose_eos.isochore, "solve_bose_equation", fail)
+    code = bose_eos.cli.main(
+        ["sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
+         "--tmin", "4.0", "--tmax", "5.0", "--points", "2"]  # T_c = 3.31
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: isochore gap solve failed at d=3.0, sigma=2.0, T=")
+    assert "rho=1.0" in err

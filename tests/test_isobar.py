@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import bose_eos.isobar
 from bose_eos import (
     CondensedRegion,
+    ConvergenceError,
     DomainError,
     GasSpec,
     ZeroTemperatureBEC,
@@ -134,3 +136,16 @@ def test_isobar_validation():
         solve_gap_isobar(SPEC32, 0.0, 1.0)
     with pytest.raises(DomainError):
         solve_gap_isobar(SPEC32, 1.0, -1.0)
+
+
+def test_convergence_error_names_the_failed_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("root finder did not converge")
+
+    monkeypatch.setattr(bose_eos.isobar, "solve_bose_equation", fail)
+    tc = critical_temperature_pressure(SPEC32, 0.5)
+    with pytest.raises(ConvergenceError) as info:
+        solve_gap_isobar(SPEC32, 2.0 * tc, 0.5)
+    message = str(info.value)
+    for part in ("d=3.0", "sigma=2.0", f"T={2.0 * tc!r}", "P=0.5", "root finder"):
+        assert part in message

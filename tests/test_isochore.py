@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import bose_eos.isochore
 from bose_eos import (
     CRITICAL_WINDOW,
+    ConvergenceError,
     DomainError,
     GasSpec,
     PoleError,
@@ -211,3 +213,16 @@ def test_validation_errors():
         grand_potential(SPEC32, 1.0, 0.5, volume=-1.0)
     with pytest.raises(DomainError):
         susceptibility(-0.5)
+
+
+def test_convergence_error_names_the_failed_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("root finder did not converge")
+
+    monkeypatch.setattr(bose_eos.isochore, "solve_bose_equation", fail)
+    tc = critical_temperature_density(SPEC32, 1.0)
+    with pytest.raises(ConvergenceError) as info:
+        solve_gap_isochore(SPEC32, 2.0 * tc, 1.0)
+    message = str(info.value)
+    for part in ("d=3.0", "sigma=2.0", f"T={2.0 * tc!r}", "rho=1.0", "root finder"):
+        assert part in message

@@ -16,6 +16,9 @@ from bose_eos import (
     series_sum_highprec,
     zeta,
 )
+from bose_eos.special import SMALL_Y_SWITCH
+
+_EPS = float(np.finfo(np.float64).eps)
 
 NU_GRID = [1.2, 1.5, 2.0, 2.5, 2.8, 3.5]
 Y_GRID = [1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0]
@@ -149,7 +152,7 @@ def test_derivative_matches_finite_difference():
 
 
 def test_integer_order_small_argument_still_works():
-    # d/sigma = 2 cases route through the direct series even for tiny y
+    # d/sigma = 2 cases take the logarithmic integer-order expansion at tiny y
     ref = series_sum_highprec(2.0, 3e-4)
     assert bose_g(2.0, 3e-4).value == pytest.approx(ref, abs=1e-11)
 
@@ -166,3 +169,65 @@ def test_values_are_finite_across_grid():
     for nu in [1.1, 1.5, 2.5]:
         for y in ys:
             assert math.isfinite(bose_g(nu, float(y)).value)
+
+
+# Orders the gap solvers meet at integer d/sigma (and their Newton slopes),
+# exact and within a hair of the integer, at arguments down to 1e-12.
+SMALL_Y = np.geomspace(1e-12, 0.05, 12, endpoint=False).tolist()
+NEAR_INTEGER_OFFSETS = [0.0, 1e-7, -1e-7, 1e-9, -1e-9, 1e-12, -1e-12]
+
+
+def _dilog_series(z):
+    """Li_2(z) = sum_k z^k / k^2 for 0 <= z <= 0.05 (terms fall 20x per k)."""
+    return math.fsum(z**k / k**2 for k in range(1, 40))
+
+
+@pytest.mark.parametrize("y", SMALL_Y)
+def test_order_one_matches_closed_form(y):
+    # g_1(y) = -ln(1 - e^-y); the oracle itself rounds once in the log
+    ref = -math.log(-math.expm1(-y))
+    res = bose_g(1.0, y)
+    assert abs(res.value - ref) <= res.est_error + 2.0 * _EPS * abs(ref)
+
+
+@pytest.mark.parametrize("y", SMALL_Y)
+def test_order_two_matches_dilog_reflection(y):
+    # Li_2(x) + Li_2(1 - x) = pi^2/6 - ln x ln(1 - x) with x = e^-y, so
+    # g_2(y) = pi^2/6 + y ln(1 - e^-y) - Li_2(1 - e^-y) with a small-z series
+    z = -math.expm1(-y)
+    ref = math.pi**2 / 6.0 + y * math.log(z) - _dilog_series(z)
+    res = bose_g(2.0, y)
+    assert abs(res.value - ref) <= res.est_error + 4.0 * _EPS * abs(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_integer_and_near_integer_orders_against_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for offset in NEAR_INTEGER_OFFSETS:
+            nu = n + offset
+            for y in SMALL_Y:
+                res = bose_g(nu, y)
+                ref = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
+                assert abs(res.value - ref) <= res.est_error, (nu, y, res)
+                assert res.terms_used <= 30, (nu, y, res)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.0 + 1e-9, 1.0 - 1e-9, 0.75, 0.5])
+def test_slope_orders_against_mpmath(nu):
+    # dg_nu/dy = -g_(nu-1): orders zero and below, reached by the Newton slope
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for y in SMALL_Y:
+            res = bose_g_derivative(nu, y)
+            ref = -float(mpmath.polylog(nu - 1.0, mpmath.exp(-mpmath.mpf(y))))
+            assert abs(res.value - ref) <= res.est_error, (nu, y, res)
+
+
+def test_small_y_switch_edges_agree():
+    # the expansion just below the switch and the series just above it
+    for nu in [0.5, 1.0, 1.5, 2.0, 3.0]:
+        below = bose_g(nu, np.nextafter(SMALL_Y_SWITCH, 0.0))
+        above = bose_g(nu, SMALL_Y_SWITCH)
+        assert abs(below.value - above.value) <= below.est_error + above.est_error + 1e-15
+        assert below.terms_used <= 30 < above.terms_used <= 1000
