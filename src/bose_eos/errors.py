@@ -63,4 +63,4 @@ class FitError(BoseEosError, ValueError):
 
 
 class ConfigError(BoseEosError, ValueError):
-    """Malformed configuration: config file, environment variable, or flags."""
+    """Malformed configuration: config file or command-line flags."""

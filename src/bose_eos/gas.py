@@ -183,6 +183,13 @@ def prefactor_A(d: float, sigma: float) -> float:
     return num / den
 
 
+def _density_prefactor(nat: GasSpec, T: float) -> float:
+    """lambda_T^-d * A(d, sigma) in natural units."""
+    return (nat.mass * T / (2.0 * math.pi)) ** nat.d_over_sigma * prefactor_A(
+        nat.d, nat.sigma
+    )
+
+
 def dispersion(spec: GasSpec, k: float) -> float:
     """Single-particle energy epsilon(k) = (hbar^2 / 2m) k^sigma, k >= 0."""
     if k < 0.0:

@@ -17,17 +17,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import CondensedRegion, ConvergenceError, DomainError
-from .gas import GasSpec, as_natural, prefactor_A
+from .gas import GasSpec, _density_prefactor, as_natural, prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
-    _density_prefactor,
+    REGIME_NORMAL,
     critical_temperature_density,
     pressure_at,
 )
 from .rootfind import solve_bose_equation
 from .special import bose_g, zeta
 
-REGIME_NORMAL = "normal"
 REGIME_BOUNDARY = "condensed_boundary"
 
 

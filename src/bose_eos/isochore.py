@@ -17,14 +17,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
-from .gas import GasSpec, as_natural, prefactor_A
+from .gas import GasSpec, _density_prefactor, as_natural, prefactor_A
 from .rootfind import solve_bose_equation
 from .special import bose_g, zeta
 
 REGIME_NORMAL = "normal"
 REGIME_CONDENSED = "condensed"
 REGIME_CRITICAL = "critical"
-REGIME_ZERO_T_BEC = "zero_T_BEC"
 
 # Reduced temperatures below solver resolution are reported as critical
 # instead of chasing a root smaller than float noise allows.
@@ -50,13 +49,6 @@ class ThermoPoint:
     @property
     def mu(self) -> float:
         return -self.r
-
-
-def _density_prefactor(nat: GasSpec, T: float) -> float:
-    """lambda_T^-d * A(d, sigma) in natural units."""
-    return (nat.mass * T / (2.0 * math.pi)) ** nat.d_over_sigma * prefactor_A(
-        nat.d, nat.sigma
-    )
 
 
 def critical_temperature_density(spec: GasSpec, rho: float) -> float:
@@ -127,6 +119,7 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     T_nat = conv.temperature_in(T)
     rho_nat = conv.density_in(rho)
     nu = nat.d_over_sigma
+    pref = _density_prefactor(nat, T_nat)
 
     if abs(t) <= CRITICAL_WINDOW:
         regime, r_nat, psi2 = REGIME_CRITICAL, 0.0, 0.0
@@ -138,16 +131,14 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
         regime = REGIME_NORMAL
         psi2 = 0.0
         try:
-            r_nat = solve_bose_equation(
-                nu, _density_prefactor(nat, T_nat), rho_nat, T_nat
-            )
+            r_nat = solve_bose_equation(nu, pref, rho_nat, T_nat)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
                 f"T={T!r}, rho={rho!r}: {exc}"
             ) from exc
 
-    P = pressure_at(spec, T, conv.energy_out(r_nat))
+    P = conv.pressure_out(T_nat * pref * bose_g(nu + 1.0, r_nat / T_nat).value)
     return ThermoPoint(
         T=T, t=t, r=conv.energy_out(r_nat), psi2=psi2, rho=rho, P=P, regime=regime
     )

@@ -54,6 +54,12 @@ _INTEGER_TOL = 1e-6
 # per step below the switch, so the sum stops long before this.
 _KMAX_ADAPTIVE = 30
 
+# Largest truncation bose_g_small_y accepts: its coefficients run to
+# k_max + 1, and 1/k! is a normal double only through k = 170. Beyond that
+# the coefficients lose precision, then vanish, then zeta(nu - k) overflows
+# and the sum turns into nan.
+_KMAX_LIMIT = 169
+
 # Stieltjes constants: zeta(1 + eps) - 1/eps = sum_j (-1)^j gamma_j eps^j / j!.
 _STIELTJES = (0.5772156649015329, -0.0728158454836767, -0.0096903631928723)
 _ZETA_3 = 1.2020569031595942
@@ -266,8 +272,8 @@ def bose_g_small_y(nu: float, y: float, k_max: int) -> EvalResult:
         )
     if y <= 0.0:
         raise DomainError(f"expansion argument must be positive, got y={y:g}")
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
+    if not 0 <= k_max <= _KMAX_LIMIT:
+        raise DomainError(f"k_max must be in [0, {_KMAX_LIMIT}], got {k_max!r}")
     return _bose_expansion(nu, y, int(k_max))
 
 

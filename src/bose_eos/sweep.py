@@ -1,22 +1,19 @@
 """Temperature sweeps along isochores and isobars, with stable serialization.
 
-Rows may be solved in parallel (capped by the BOSE_EOS_THREADS environment
-variable) but are always emitted ordered by temperature, and floats are
-formatted with 17 significant digits, so identical requests produce
-byte-identical output.
+Rows are solved one after another in grid order, ascending in temperature,
+and floats are formatted with 17 significant digits, so identical requests
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CondensedRegion, ConfigError, DomainError
+from .errors import CondensedRegion, DomainError
 from .gas import GasSpec
 from .isobar import REGIME_BOUNDARY, critical_temperature_pressure, solve_gap_isobar
 from .isochore import solve_gap_isochore
@@ -153,34 +150,8 @@ def _isobar_row(spec: GasSpec, T: float, P: float) -> dict:
     }
 
 
-def thread_count() -> int:
-    """Worker cap for row solving; BOSE_EOS_THREADS overrides the default."""
-    raw = os.environ.get("BOSE_EOS_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"BOSE_EOS_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"BOSE_EOS_THREADS must be >= 1, got {n}")
-    return n
-
-
-def run_sweep(request: SweepRequest, threads: int | None = None) -> SweepTable:
+def run_sweep(request: SweepRequest) -> SweepTable:
     """Solve the sweep grid and return rows ordered by temperature."""
-    grid = temperature_grid(request)
-    if request.constraint == CONSTRAINT_DENSITY:
-        def solve(T: float) -> dict:
-            return _isochore_row(request.spec, T, request.value)
-    else:
-        def solve(T: float) -> dict:
-            return _isobar_row(request.spec, T, request.value)
-
-    n_workers = thread_count() if threads is None else threads
-    if n_workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(solve, grid))
-    else:
-        rows = [solve(T) for T in grid]
+    solve = _isochore_row if request.constraint == CONSTRAINT_DENSITY else _isobar_row
+    rows = [solve(request.spec, T, request.value) for T in temperature_grid(request)]
     return SweepTable(columns=tuple(request.columns), rows=tuple(rows))

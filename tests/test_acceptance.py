@@ -8,7 +8,6 @@ passing tests is echoed by the -rP option set in pyproject.toml).
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -242,14 +241,13 @@ def test_10_tricritical_coefficient_scaling():
 
 
 def test_11_cli_determinism_and_verify():
-    env = dict(os.environ, BOSE_EOS_THREADS="4")
     args = [
         sys.executable, "-m", "bose_eos", "sweep",
         "--d", "3", "--sigma", "2", "--density", "1.0",
         "--tmin", "0.2", "--tmax", "2.0", "--points", "40",
     ]
-    first = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
-    second = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    first = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    second = subprocess.run(args, capture_output=True, text=True, timeout=120)
     identical = first.returncode == 0 and first.stdout == second.stdout
 
     start = time.perf_counter()

@@ -16,14 +16,11 @@ import bose_eos.isochore
 from bose_eos import GasSpec, critical_temperature_density
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "bose_eos", *args],
         capture_output=True,
         text=True,
-        env=env,
         cwd=cwd,
         timeout=120,
     )
@@ -61,9 +58,8 @@ def test_sweep_csv_is_byte_deterministic():
         "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
         "--tmin", "0.2", "--tmax", "2.0", "--points", "25",
     )
-    env = {"BOSE_EOS_THREADS": "3"}
-    first = run_cli(*args, env_extra=env)
-    second = run_cli(*args, env_extra=env)
+    first = run_cli(*args)
+    second = run_cli(*args)
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()

@@ -122,6 +122,17 @@ def test_small_y_rejects_integer_order():
         bose_g_small_y(3.0 - 1e-9, 0.01, k_max=4)
 
 
+def test_small_y_rejects_truncation_past_float_range():
+    # 1/k! leaves the normal doubles past k = 170 and zeta(nu - k)
+    # overflows near k = 260; both used to give silent nan or wrong values
+    assert math.isfinite(bose_g_small_y(0.5, 0.01, k_max=169).est_error)
+    for k_max in (170, 260, 300):
+        with pytest.raises(DomainError, match="169"):
+            bose_g_small_y(0.5, 0.01, k_max=k_max)
+    with pytest.raises(DomainError):
+        bose_g_small_y(0.5, 0.01, k_max=-1)
+
+
 def test_small_y_expansion_consistency_grid():
     # non-integer orders on both sides of 2, small arguments
     for nu in [1.2, 1.5, 1.8, 2.2, 2.5, 2.8]:

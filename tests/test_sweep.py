@@ -1,4 +1,4 @@
-"""Sweep grids, serialization stability, threading knobs."""
+"""Sweep grids, row order and serialization stability."""
 
 import json
 import math
@@ -7,16 +7,18 @@ import pytest
 
 from bose_eos import (
     COLUMNS,
-    ConfigError,
+    CondensedRegion,
     DomainError,
     GasSpec,
     SweepRequest,
     ZeroTemperatureBEC,
     critical_temperature_density,
     critical_temperature_pressure,
+    pressure_at,
     run_sweep,
+    solve_gap_isobar,
+    solve_gap_isochore,
     temperature_grid,
-    thread_count,
 )
 
 SPEC32 = GasSpec(d=3.0, sigma=2.0)
@@ -64,9 +66,7 @@ def test_temperature_grids():
 
 def test_isochore_sweep_crosses_transition():
     tc = critical_temperature_density(SPEC32, 1.0)
-    table = run_sweep(
-        density_request(T_min=0.5 * tc, T_max=1.5 * tc, points=11), threads=1
-    )
+    table = run_sweep(density_request(T_min=0.5 * tc, T_max=1.5 * tc, points=11))
     assert len(table.rows) == 11
     regimes = [row["regime"] for row in table.rows]
     assert regimes[0] == "condensed"
@@ -91,7 +91,7 @@ def test_isobar_sweep_emits_sentinel_rows():
         T_max=2.0 * tc,
         points=8,
     )
-    table = run_sweep(request, threads=2)
+    table = run_sweep(request)
     sentinel = [r for r in table.rows if r["regime"] == "condensed_boundary"]
     normal = [r for r in table.rows if r["regime"] == "normal"]
     assert sentinel and normal
@@ -106,7 +106,7 @@ def test_isobar_sweep_emits_sentinel_rows():
 
 
 def test_csv_header_and_shape():
-    table = run_sweep(density_request(points=3), threads=1)
+    table = run_sweep(density_request(points=3))
     text = table.to_csv()
     lines = text.splitlines()
     assert lines[0] == "# bose-eos v1 columns: T,t,r,mu,psi2,rho,P,regime"
@@ -119,22 +119,20 @@ def test_csv_header_and_shape():
 
 def test_csv_no_negative_zero_cells():
     tc = critical_temperature_density(SPEC32, 1.0)
-    table = run_sweep(
-        density_request(T_min=0.5 * tc, T_max=tc, points=4), threads=1
-    )
+    table = run_sweep(density_request(T_min=0.5 * tc, T_max=tc, points=4))
     for line in table.to_csv().splitlines()[1:]:
         assert "-0," not in line and not line.startswith("-0,")
 
 
 def test_csv_column_subset():
-    table = run_sweep(density_request(points=3, columns=("T", "psi2")), threads=1)
+    table = run_sweep(density_request(points=3, columns=("T", "psi2")))
     lines = table.to_csv().splitlines()
     assert lines[0] == "# bose-eos v1 columns: T,psi2"
     assert all(line.count(",") == 1 for line in lines[1:])
 
 
 def test_json_round_trips():
-    table = run_sweep(density_request(points=3), threads=1)
+    table = run_sweep(density_request(points=3))
     doc = json.loads(table.to_json())
     assert doc["schema"] == "bose-eos v1"
     assert doc["columns"] == list(COLUMNS)
@@ -151,7 +149,7 @@ def test_json_serializes_infinite_density_as_string():
     request = SweepRequest(
         spec=spec, constraint="pressure", value=1.0, T_min=0.2, T_max=1.0, points=3
     )
-    table = run_sweep(request, threads=1)
+    table = run_sweep(request)
     doc = json.loads(table.to_json())
     for row in doc["rows"]:
         assert row["rho"] is None or isinstance(row["rho"], (float, str))
@@ -160,37 +158,83 @@ def test_json_serializes_infinite_density_as_string():
     json.dumps(doc, allow_nan=False)
 
 
-def test_serialization_deterministic_across_thread_counts():
+def test_serialization_deterministic_across_runs():
     request = density_request(T_min=0.3, T_max=3.0, points=24)
-    csv_one = run_sweep(request, threads=1).to_csv()
-    csv_four = run_sweep(request, threads=4).to_csv()
-    assert csv_one == csv_four
-    assert run_sweep(request, threads=4).to_csv() == csv_four
+    assert run_sweep(request).to_csv() == run_sweep(request).to_csv()
+    assert run_sweep(request).to_json() == run_sweep(request).to_json()
 
 
-def test_thread_count_from_environment(monkeypatch):
-    monkeypatch.delenv("BOSE_EOS_THREADS", raising=False)
-    assert 1 <= thread_count() <= 4
-    monkeypatch.setenv("BOSE_EOS_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("BOSE_EOS_THREADS", "seven")
-    with pytest.raises(ConfigError):
-        thread_count()
-    monkeypatch.setenv("BOSE_EOS_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_count()
-
-
-def test_run_sweep_honors_environment_cap(monkeypatch):
-    monkeypatch.setenv("BOSE_EOS_THREADS", "2")
-    table = run_sweep(density_request(points=6))
+def test_run_sweep_rows_follow_grid_order():
+    request = density_request(points=6)
+    table = run_sweep(request)
     temperatures = [row["T"] for row in table.rows]
     assert temperatures == sorted(temperatures)
+    assert temperatures == temperature_grid(request)
     assert len(table.rows) == 6
 
 
+ROW_SPECS = [
+    (SPEC32, 1.0, 1.0),
+    (GasSpec(d=3.0, sigma=2.0, mass=1.44e-25, units="si"), 1e19, 1e-5),
+]
+
+
+@pytest.mark.parametrize("spec, rho, P", ROW_SPECS)
+def test_isochore_rows_equal_solver_points(spec, rho, P):
+    # 21 points from 0.5 T_c to 1.5 T_c: condensed rows, one critical row
+    # at T_c (within CRITICAL_WINDOW) and normal rows
+    tc = critical_temperature_density(spec, rho)
+    request = SweepRequest(
+        spec=spec,
+        constraint="density",
+        value=rho,
+        T_min=0.5 * tc,
+        T_max=1.5 * tc,
+        points=21,
+    )
+    rows = run_sweep(request).rows
+    assert {row["regime"] for row in rows} == {"condensed", "critical", "normal"}
+    for T, row in zip(temperature_grid(request), rows):
+        pt = solve_gap_isochore(spec, T, rho)
+        assert row == {
+            "T": pt.T, "t": pt.t, "r": pt.r, "mu": pt.mu, "psi2": pt.psi2,
+            "rho": pt.rho, "P": pt.P, "regime": pt.regime,
+        }
+        assert pt.P == pytest.approx(pressure_at(spec, T, pt.r), rel=1e-15)
+
+
+@pytest.mark.parametrize("spec, rho, P", ROW_SPECS)
+def test_isobar_rows_equal_solver_points(spec, rho, P):
+    # condensed sentinels below T_c(P), the boundary row at T_c(P), normal above
+    tc = critical_temperature_pressure(spec, P)
+    request = SweepRequest(
+        spec=spec,
+        constraint="pressure",
+        value=P,
+        T_min=0.5 * tc,
+        T_max=1.5 * tc,
+        points=21,
+    )
+    rows = run_sweep(request).rows
+    regimes = [row["regime"] for row in rows]
+    assert regimes.count("condensed_boundary") == 11 and "normal" in regimes
+    for T, row in zip(temperature_grid(request), rows):
+        try:
+            pt = solve_gap_isobar(spec, T, P)
+        except CondensedRegion:
+            assert row == {
+                "T": T, "t": T / tc - 1.0, "r": None, "mu": None, "psi2": None,
+                "rho": None, "P": P, "regime": "condensed_boundary",
+            }
+            continue
+        assert row == {
+            "T": pt.T, "t": pt.t_P, "r": pt.r, "mu": pt.mu, "psi2": 0.0,
+            "rho": pt.rho, "P": pt.P, "regime": pt.regime,
+        }
+
+
 def test_formatting_uses_17_significant_digits():
-    table = run_sweep(density_request(points=2), threads=1)
+    table = run_sweep(density_request(points=2))
     cell = table.to_csv().splitlines()[1].split(",")[0]
     assert float(cell) == table.rows[0]["T"]
     assert cell == format(table.rows[0]["T"], ".17g")
@@ -208,4 +252,4 @@ def test_zero_temperature_condensers_surface_domain_error():
         points=3,
     )
     with pytest.raises(ZeroTemperatureBEC):
-        run_sweep(request, threads=1)
+        run_sweep(request)
