@@ -29,7 +29,7 @@ from .gas import GasSpec
 from .isobar import critical_temperature_pressure
 from .isochore import critical_temperature_density
 from .sweep import COLUMNS, SweepRequest, SweepTable, run_sweep
-from .verify import LEVELS, all_passed, run_checks
+from .verify import LEVELS, all_passed, run_checks, verdict
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -278,11 +278,7 @@ def _cmd_verify(args, config: dict) -> int:
     level = _setting(args, config, "level", default="quick")
     results = run_checks(level)
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        line = f"{status} {res.name}: measured={res.measured:.3e} tol={res.tolerance:.3e}"
-        if res.detail:
-            line += f" ({res.detail})"
-        print(line)
+        print(verdict(res.name, res.passed, res.summary))
     passed = sum(res.passed for res in results)
     print(f"{passed}/{len(results)} checks passed at level {level}")
     return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED

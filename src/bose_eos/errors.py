@@ -39,8 +39,13 @@ class CondensedRegion(BoseEosError):
     """Constant-pressure state requested below T_c(P).
 
     The equation of state in that region is not modelled here; only the
-    normal branch and the coexistence boundary are exposed.
+    normal branch and the coexistence boundary are exposed. ``T_c`` holds the
+    T_c(P) the temperature was refused against.
     """
+
+    def __init__(self, message: str, T_c: float = float("nan")):
+        super().__init__(message)
+        self.T_c = T_c
 
 
 class BranchError(BoseEosError, ValueError):

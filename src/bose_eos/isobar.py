@@ -84,7 +84,8 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
     if t_P < -CRITICAL_WINDOW:
         raise CondensedRegion(
             f"T = {T:g} is below T_c(P) = {tc:g}; the condensed constant-pressure "
-            "state is not modelled"
+            "state is not modelled",
+            T_c=tc,
         )
     nat, conv = as_natural(spec)
     T_nat = conv.temperature_in(T)

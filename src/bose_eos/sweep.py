@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CondensedRegion, DomainError
 from .gas import GasSpec
-from .isobar import REGIME_BOUNDARY, critical_temperature_pressure, solve_gap_isobar
+from .isobar import REGIME_BOUNDARY, solve_gap_isobar
 from .isochore import solve_gap_isochore
 
 SCHEMA_VERSION = "bose-eos v1"
@@ -125,12 +125,11 @@ def _isochore_row(spec: GasSpec, T: float, rho: float) -> dict:
 def _isobar_row(spec: GasSpec, T: float, P: float) -> dict:
     try:
         pt = solve_gap_isobar(spec, T, P)
-    except CondensedRegion:
+    except CondensedRegion as exc:
         # No state is produced below T_c(P); keep the grid row as a sentinel.
-        tc = critical_temperature_pressure(spec, P)
         return {
             "T": T,
-            "t": T / tc - 1.0,
+            "t": T / exc.T_c - 1.0,
             "r": None,
             "mu": None,
             "psi2": None,

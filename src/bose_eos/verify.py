@@ -1,16 +1,22 @@
-"""Cross-module verification checks, runnable from the CLI or tests.
+"""One registry of named checks, run by `bose-eos verify` and the acceptance suite.
 
-The quick level exercises every closed-form identity and solver round-trip
-in a few seconds; the full level adds the slower statistical checks
-(critical-exponent fits, finite-size convergence of the discrete momentum
-sum, tricritical coefficient scaling). Every check reports the measured
-worst-case value next to the tolerance it is held to.
+`REGISTRY` lists every check in the order `bose-eos verify` prints them. Each
+entry states its level, its bound and, where it has one, the wall-time budget
+the acceptance suite holds it to; its measuring function states its inputs.
+The quick level exercises every closed-form identity and solver round trip in
+a few seconds; the full level adds the slower statistical checks
+(critical-exponent fits, finite-size convergence of the discrete momentum sum,
+tricritical coefficient scaling). Work that several checks read is done once
+per run, by a `SharedWork`. Every check reports the measured worst-case value
+next to the bound it is held to; `verdict` writes the one-line PASS/FAIL form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -26,19 +32,29 @@ from .criticality import (
 from .errors import DomainError
 from .gas import GasSpec, prefactor_A
 from .isobar import coexistence_consistency
-from .isochore import (
-    critical_temperature_density,
-    density_at,
-    solve_gap_isochore,
+from .isochore import critical_temperature_density, density_at, solve_gap_isochore
+from .oracle import (
+    BoxSpec,
+    finite_density,
+    finite_difference,
+    series_sum_highprec,
+    zeta_dirichlet,
 )
-from .oracle import BoxSpec, finite_density, finite_difference, series_sum_highprec
 from .special import bose_g, zeta
 
 LEVELS = ("quick", "full")
 
+# Every check runs at density rho = 1, so relative density errors need no
+# division. SPECS, both inside sigma < d < 2 sigma, serve most checks.
+SPEC32 = GasSpec(d=3.0, sigma=2.0)
+SPECS = (SPEC32, GasSpec(d=3.0, sigma=1.8))
+MU_LADDER = (1e-3, 1e-4, 1e-5)
+BOX_EDGES = (2.0, 4.0, 8.0, 16.0, 32.0)
 # Box edge at which the d=3, sigma=2, beta*r=0.5 discrete sum is documented
-# to be within 1e-3 of the thermodynamic limit.
+# to be within BOX_RTOL of the thermodynamic limit.
 L_STAR = 16.0
+BOX_RTOL = 1e-3
+TRICRITICAL_TS = np.geomspace(1e-5, 1e-2, 16)
 
 
 @dataclass(frozen=True)
@@ -51,76 +67,138 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
+    @property
+    def summary(self) -> str:
+        """`measured=… tol=… (detail)`, the text of this result's verdict."""
+        text = f"measured={self.measured:.3e} tol={self.tolerance:.3e}"
+        return f"{text} ({self.detail})" if self.detail else text
 
-def _check(name: str, measured: float, tolerance: float, detail: str = "") -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=measured <= tolerance,
-        measured=measured,
-        tolerance=tolerance,
-        detail=detail,
+
+def verdict(name: str, passed: bool, text: str) -> str:
+    """The one-line verdict `PASS|FAIL <name>: <text>`."""
+    return f"{'PASS' if passed else 'FAIL'} {name}: {text}"
+
+
+class SharedWork:
+    """Computations that several checks read, each done at most once per run."""
+
+    @cached_property
+    def exponents(self) -> dict:
+        return {spec: extract_exponents(spec, rho=1.0) for spec in SPECS}
+
+    @cached_property
+    def mu_errors(self) -> list[float]:
+        """|asymptotic/exact - 1| for the chemical potential along MU_LADDER."""
+        tc = critical_temperature_density(SPEC32, 1.0)
+        errors = []
+        for t in MU_LADDER:
+            exact = -solve_gap_isochore(SPEC32, tc * (1.0 + t), 1.0).r
+            asym = chemical_potential_asymptotic(landau_model(SPEC32, 1.0, t), 0.0)
+            errors.append(abs(asym / exact - 1.0))
+        return errors
+
+    @cached_property
+    def box_errors(self) -> list[float]:
+        """Relative box-density error at T = 1, r = 0.5 for each of BOX_EDGES."""
+        limit = density_at(SPEC32, 1.0, 0.5)
+        return [
+            abs(finite_density(SPEC32, BoxSpec(L=L, d=3), 1.0, -0.5) / limit - 1.0)
+            for L in BOX_EDGES
+        ]
+
+    @cached_property
+    def tricritical_powers(self) -> list[tuple[float, float]]:
+        """(fitted, predicted) powers of t in the Psi^2 and Psi^4 coefficients."""
+        coeffs = [
+            landau_taylor_coefficients(landau_model(SPEC32, rho=1.0, t=float(t)))
+            for t in TRICRITICAL_TS
+        ]
+        d, sigma = SPEC32.d, SPEC32.sigma
+        targets = (sigma / (d - sigma), (2.0 * sigma - d) / (d - sigma))
+        return [
+            (loglog_slope(TRICRITICAL_TS, [c[i] for c in coeffs])[0], targets[i])
+            for i in (0, 1)
+        ]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named check: `measure` gives the worst case (and a detail), held to `tolerance`.
+
+    A callable tolerance is computed from the run's shared work. `budget_s`
+    is the wall time the acceptance suite allows; `verify` never times.
+    """
+
+    name: str
+    level: str
+    tolerance: float | Callable[[SharedWork], float]
+    measure: Callable[[SharedWork], float | tuple[float, str]]
+    budget_s: float | None = None
+
+    def run(self, shared: SharedWork) -> CheckResult:
+        value = self.measure(shared)
+        measured, detail = value if isinstance(value, tuple) else (value, "")
+        tol = self.tolerance(shared) if callable(self.tolerance) else self.tolerance
+        return CheckResult(self.name, measured <= tol, measured, tol, detail)
+
+
+def _bose_vs_series(_: SharedWork) -> float:
+    return max(
+        abs(bose_g(nu, y).value - series_sum_highprec(nu, y))
+        for nu in (1.2, 1.5, 2.5, 2.8)
+        for y in (1e-4, 1e-2, 0.1, 1.0, 5.0)
     )
 
 
-def _check_bose_vs_series() -> CheckResult:
+def _bose_at_zero(_: SharedWork) -> float:
+    return max(
+        abs(bose_g(nu, 0.0).value - ref(nu))
+        for nu in (1.2, 1.5, 2.5, 2.8)
+        for ref in (zeta, zeta_dirichlet)
+    )
+
+
+def _prefactor(_: SharedWork) -> float:
+    return max(abs(prefactor_A(d, 2.0) - 1.0) for d in (1.0, 1.7, 2.0, 3.0, 4.0))
+
+
+def _isochore_roundtrip(_: SharedWork) -> float:
     worst = 0.0
-    for nu in (1.2, 1.5, 2.5, 2.8):
-        for y in (1e-4, 1e-2, 0.1, 1.0, 5.0):
-            diff = abs(bose_g(nu, y).value - series_sum_highprec(nu, y))
-            worst = max(worst, diff)
-    return _check("bose-function-vs-brute-force-series", worst, 1e-12)
-
-
-def _check_bose_at_zero() -> CheckResult:
-    worst = max(abs(bose_g(nu, 0.0).value - zeta(nu)) for nu in (1.2, 1.5, 2.5, 2.8))
-    return _check("bose-function-boundary-zeta", worst, 1e-12)
-
-
-def _check_prefactor() -> CheckResult:
-    worst = max(abs(prefactor_A(d, 2.0) - 1.0) for d in (1.0, 1.7, 2.0, 3.0, 4.0))
-    return _check("prefactor-A-at-sigma-2", worst, 1e-14)
-
-
-def _check_isochore_roundtrip() -> CheckResult:
-    rho = 1.0
-    worst = 0.0
-    for d, sigma in ((3.0, 2.0), (3.0, 1.8), (3.0, 1.5)):
-        spec = GasSpec(d=d, sigma=sigma)
-        tc = critical_temperature_density(spec, rho)
+    for sigma in (2.0, 1.8, 1.5):
+        spec = GasSpec(d=3.0, sigma=sigma)
+        tc = critical_temperature_density(spec, 1.0)
         for T in np.linspace(1.001 * tc, 3.0 * tc, 20):
-            pt = solve_gap_isochore(spec, float(T), rho)
-            back = density_at(spec, float(T), pt.r)
-            worst = max(worst, abs(back / rho - 1.0))
-    return _check("isochore-density-roundtrip", worst, 1e-10)
+            pt = solve_gap_isochore(spec, float(T), 1.0)
+            worst = max(worst, abs(density_at(spec, float(T), pt.r) - 1.0))
+    return worst
 
 
-def _check_condensate_residual() -> CheckResult:
-    rho = 1.0
+def _condensate(_: SharedWork) -> float:
+    """Density residual and the law psi2 = 1 - (T/T_c)^(d/sigma), from 1e-6 T_c to T_c."""
     worst = 0.0
-    for d, sigma in ((3.0, 2.0), (3.0, 1.8)):
-        spec = GasSpec(d=d, sigma=sigma)
-        tc = critical_temperature_density(spec, rho)
-        for T in np.linspace(tc / 20.0, tc, 20):
-            pt = solve_gap_isochore(spec, float(T), rho)
-            residual = density_at(spec, float(T), 0.0) + rho * pt.psi2 - rho
-            worst = max(worst, abs(residual / rho))
-    return _check("condensate-fraction-residual", worst, 1e-12)
+    for spec in SPECS:
+        tc = critical_temperature_density(spec, 1.0)
+        # Two grids whose starts differ by an ulp, plus the T -> 0 end.
+        grid = [1e-6 * tc, *np.linspace(tc / 20.0, tc, 20), *np.linspace(0.05 * tc, tc, 20)]
+        for T in map(float, grid):
+            psi2 = solve_gap_isochore(spec, T, 1.0).psi2
+            residual = density_at(spec, T, 0.0) + psi2 - 1.0
+            law = psi2 - (1.0 - (T / tc) ** spec.d_over_sigma)
+            worst = max(worst, abs(residual), abs(law))
+    return worst
 
 
-def _check_coexistence() -> CheckResult:
-    rho = 1.0
+def _coexistence(_: SharedWork) -> float:
+    return max(
+        coexistence_consistency(GasSpec(d=d, sigma=sigma), 1.0)
+        for d in (2.5, 3.0, 3.5)
+        for sigma in (1.2, 1.6, 2.0)
+    )
+
+
+def _stationarity(_: SharedWork) -> float:
     worst = 0.0
-    for d in (2.5, 3.0, 3.5):
-        for sigma in (1.2, 1.6, 2.0):
-            spec = GasSpec(d=d, sigma=sigma)
-            worst = max(worst, coexistence_consistency(spec, rho))
-    return _check("coexistence-closure", worst, 1e-8)
-
-
-def _check_stationarity() -> CheckResult:
-    worst = 0.0
-    for d, sigma in ((3.0, 2.0), (3.0, 1.8)):
-        spec = GasSpec(d=d, sigma=sigma)
+    for spec in SPECS:
         for t in (-0.2, -0.1, -0.01):
             model = landau_model(spec, rho=1.0, t=t)
             psi_root = math.sqrt(-model.d_over_sigma * t)
@@ -129,160 +207,95 @@ def _check_stationarity() -> CheckResult:
             deriv = finite_difference(
                 lambda p: landau_free_energy(model, p), psi_root, 1e-6, side="forward"
             )
-            scale = 2.0 * model.C_f * model.free_energy_exponent
-            worst = max(worst, abs(deriv.value) / scale)
-    return _check("equation-of-state-stationarity", worst, 1e-8)
+            worst = max(worst, abs(deriv.value) / (2.0 * model.C_f * model.free_energy_exponent))
+    return worst
 
 
-def _mu_ratio_errors(spec: GasSpec, rho: float, ts) -> list[float]:
-    tc = critical_temperature_density(spec, rho)
-    errors = []
-    for t in ts:
-        exact = -solve_gap_isochore(spec, tc * (1.0 + t), rho).r
-        asym = chemical_potential_asymptotic(landau_model(spec, rho, t), 0.0)
-        errors.append(abs(asym / exact - 1.0))
-    return errors
-
-
-def _check_mu_asymptotic() -> list[CheckResult]:
-    spec = GasSpec(d=3.0, sigma=2.0)
-    ts = (1e-3, 1e-4, 1e-5)
-    errs = _mu_ratio_errors(spec, 1.0, ts)
-    increase = max(
-        [errs[i + 1] - errs[i] for i in range(len(errs) - 1)], default=0.0
-    )
-    return [
-        _check("asymptotic-mu-at-t-1e-3", errs[0], 0.05),
-        _check("asymptotic-mu-at-t-1e-5", errs[2], 0.005),
-        _check("asymptotic-mu-error-decreasing", max(0.0, increase), 0.0),
-    ]
-
-
-def _check_exponents() -> list[CheckResult]:
-    results = []
-    for d, sigma in ((3.0, 2.0), (3.0, 1.8)):
-        spec = GasSpec(d=d, sigma=sigma)
-        es = extract_exponents(spec, rho=1.0)
-        tag = f"d{d:g}-sigma{sigma:g}"
-        results.append(
-            _check(
-                f"fitted-gamma-{tag}",
-                abs(es.fitted_gamma.exponent / es.gamma_ - 1.0),
-                0.02,
-                detail=f"fit {es.fitted_gamma.exponent:.4f} vs {es.gamma_:.4f}",
-            )
-        )
-        results.append(
-            _check(
-                f"fitted-nu-{tag}",
-                abs(es.fitted_nu.exponent / es.nu - 1.0),
-                0.02,
-                detail=f"fit {es.fitted_nu.exponent:.4f} vs {es.nu:.4f}",
-            )
-        )
-        combined = es.fitted_gamma.std_error + sigma * es.fitted_nu.std_error
-        results.append(
-            _check(
-                f"scaling-relation-gamma-sigma-nu-{tag}",
-                abs(es.fitted_gamma.exponent - sigma * es.fitted_nu.exponent),
-                max(combined, 1e-12),
-            )
-        )
-        results.append(
-            _check(
-                f"fisher-eta-{tag}",
-                abs(es.fitted_eta - es.eta),
-                1e-3,
-            )
-        )
-    return results
-
-
-def _check_finite_size() -> list[CheckResult]:
-    spec = GasSpec(d=3.0, sigma=2.0)
-    T, r = 1.0, 0.5
-    limit = density_at(spec, T, r)
-    edges = (2.0, 4.0, 8.0, 16.0, 32.0)
-    errors = []
-    for L in edges:
-        box_rho = finite_density(spec, BoxSpec(L=L, d=3), T, -r)
-        errors.append(abs(box_rho / limit - 1.0))
-    increase = max(
-        [errors[i + 1] - errors[i] for i in range(len(errors) - 1)], default=0.0
-    )
-    at_star = errors[edges.index(L_STAR)]
-    first_ok = next((L for L, e in zip(edges, errors) if e <= 1e-3), None)
-    return [
-        _check("finite-size-error-monotone", max(0.0, increase), 0.0),
-        _check(
-            "finite-size-converged-at-L-star",
-            at_star,
-            1e-3,
-            detail=f"first L with error <= 1e-3: {first_ok}",
-        ),
-    ]
-
-
-def _check_tricritical() -> list[CheckResult]:
-    spec = GasSpec(d=3.0, sigma=2.0)
-    d, sigma = spec.d, spec.sigma
-    ts = np.geomspace(1e-5, 1e-2, 16)
-    c2s, c4s = [], []
-    for t in ts:
-        c2, c4 = landau_taylor_coefficients(landau_model(spec, rho=1.0, t=float(t)))
-        c2s.append(c2)
-        c4s.append(c4)
-    slope2, _ = loglog_slope(ts, c2s)
-    slope4, _ = loglog_slope(ts, c4s)
-    target2 = sigma / (d - sigma)
-    target4 = (2.0 * sigma - d) / (d - sigma)
-    return [
-        _check(
-            "tricritical-psi2-coefficient-power",
-            abs(slope2 / target2 - 1.0),
-            0.02,
-            detail=f"fit {slope2:.4f} vs {target2:.4f}",
-        ),
-        _check(
-            "tricritical-psi4-coefficient-power",
-            abs(slope4 / target4 - 1.0),
-            0.02,
-            detail=f"fit {slope4:.4f} vs {target4:.4f}",
-        ),
-    ]
-
-
-def _check_eta_slope() -> CheckResult:
+def _eta_slope(_: SharedWork) -> float:
     worst = 0.0
+    ks = np.geomspace(1e-2, 1.0, 12)
     for d, sigma in ((3.0, 2.0), (3.0, 1.8), (2.0, 1.5)):
-        spec = GasSpec(d=d, sigma=sigma)
-        chi = correlation_quantities(spec, 0.0).chi
-        ks = np.geomspace(1e-2, 1.0, 12)
+        chi = correlation_quantities(GasSpec(d=d, sigma=sigma), 0.0).chi
         slope, _ = loglog_slope(ks, [chi(float(k)) for k in ks])
         worst = max(worst, abs(slope + sigma))
-    return _check("susceptibility-critical-slope", worst, 1e-10)
+    return worst
+
+
+def _not_falling(errors: list[float]) -> float:
+    """Steps along a ladder where the error does not strictly fall."""
+    return float(sum(later >= earlier for earlier, later in zip(errors, errors[1:])))
+
+
+def _box_at_l_star(shared: SharedWork) -> tuple[float, str]:
+    errors = shared.box_errors
+    first_ok = next((L for L, e in zip(BOX_EDGES, errors) if e <= BOX_RTOL), None)
+    return errors[BOX_EDGES.index(L_STAR)], f"first L with error <= tol: {first_ok}"
+
+
+def _fit_error(fitted: float, exact: float) -> tuple[float, str]:
+    return abs(fitted / exact - 1.0), f"fit {fitted:.4f} vs {exact:.4f}"
+
+
+def _exponent_checks(spec: GasSpec) -> tuple[Check, ...]:
+    """Fitted gamma and nu, gamma = sigma nu within the fits' combined standard
+    error, and Fisher's eta; the budget covers the fits of every spec."""
+    tag = f"d{spec.d:g}-sigma{spec.sigma:g}"
+
+    def es(shared: SharedWork):
+        return shared.exponents[spec]
+
+    def combined_std_error(shared: SharedWork) -> float:
+        fits = es(shared)
+        return max(fits.fitted_gamma.std_error + spec.sigma * fits.fitted_nu.std_error, 1e-12)
+
+    def gamma_minus_sigma_nu(shared: SharedWork) -> float:
+        fits = es(shared)
+        return abs(fits.fitted_gamma.exponent - spec.sigma * fits.fitted_nu.exponent)
+
+    budget = 30.0
+    return (
+        Check(f"fitted-gamma-{tag}", "full", 0.02,
+              lambda s: _fit_error(es(s).fitted_gamma.exponent, es(s).gamma_), budget),
+        Check(f"fitted-nu-{tag}", "full", 0.02,
+              lambda s: _fit_error(es(s).fitted_nu.exponent, es(s).nu), budget),
+        Check(f"scaling-relation-gamma-sigma-nu-{tag}", "full", combined_std_error,
+              gamma_minus_sigma_nu, budget),
+        Check(f"fisher-eta-{tag}", "full", 1e-3,
+              lambda s: abs(es(s).fitted_eta - es(s).eta), budget),
+    )
+
+
+def _tricritical_check(name: str, i: int) -> Check:
+    return Check(name, "full", 0.02, lambda s: _fit_error(*s.tricritical_powers[i]))
+
+
+REGISTRY: tuple[Check, ...] = (
+    Check("bose-function-vs-brute-force-series", "quick", 1e-12, _bose_vs_series, 1.0),
+    Check("bose-function-boundary-zeta", "quick", 1e-12, _bose_at_zero, 1.0),
+    Check("prefactor-A-at-sigma-2", "quick", 1e-14, _prefactor),
+    Check("isochore-density-roundtrip", "quick", 1e-10, _isochore_roundtrip, 5.0),
+    Check("condensate-fraction-residual", "quick", 1e-12, _condensate),
+    Check("coexistence-closure", "quick", 1e-8, _coexistence, 1.0),
+    Check("equation-of-state-stationarity", "quick", 1e-8, _stationarity),
+    Check("asymptotic-mu-at-t-1e-3", "quick", 0.05, lambda s: s.mu_errors[0]),
+    Check("asymptotic-mu-at-t-1e-5", "quick", 0.005, lambda s: s.mu_errors[2]),
+    Check("asymptotic-mu-error-decreasing", "quick", 0.0, lambda s: _not_falling(s.mu_errors)),
+    Check("susceptibility-critical-slope", "quick", 1e-10, _eta_slope),
+    *(check for spec in SPECS for check in _exponent_checks(spec)),
+    Check("finite-size-error-monotone", "full", 0.0,
+          lambda s: _not_falling(s.box_errors), 120.0),
+    Check("finite-size-converged-at-L-star", "full", BOX_RTOL, _box_at_l_star, 120.0),
+    _tricritical_check("tricritical-psi2-coefficient-power", 0),
+    _tricritical_check("tricritical-psi4-coefficient-power", 1),
+)
 
 
 def run_checks(level: str = "quick") -> list[CheckResult]:
-    """Run the verification suite; full adds the slow statistical checks."""
+    """Run the registry's checks for `level`; full adds the slow statistical checks."""
     if level not in LEVELS:
         raise DomainError(f"level must be one of {LEVELS}, got {level!r}")
-    results = [
-        _check_bose_vs_series(),
-        _check_bose_at_zero(),
-        _check_prefactor(),
-        _check_isochore_roundtrip(),
-        _check_condensate_residual(),
-        _check_coexistence(),
-        _check_stationarity(),
-        *_check_mu_asymptotic(),
-        _check_eta_slope(),
-    ]
-    if level == "full":
-        results.extend(_check_exponents())
-        results.extend(_check_finite_size())
-        results.extend(_check_tricritical())
-    return results
+    shared = SharedWork()
+    return [c.run(shared) for c in REGISTRY if level == "full" or c.level == "quick"]
 
 
 def all_passed(results: list[CheckResult]) -> bool:

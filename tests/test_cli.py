@@ -14,6 +14,7 @@ import bose_eos
 import bose_eos.cli
 import bose_eos.isochore
 from bose_eos import GasSpec, critical_temperature_density
+from bose_eos.verify import REGISTRY
 
 
 def run_cli(*args, cwd=None):
@@ -163,6 +164,16 @@ def test_verify_quick_passes():
     assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
     assert "checks passed at level quick" in lines[-1]
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("level, count", [("quick", 11), ("full", 23)])
+def test_verify_prints_registry_checks_in_order(level, count):
+    proc = run_cli("verify", "--level", level)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *verdicts, summary = proc.stdout.splitlines()
+    expected = [c.name for c in REGISTRY if level == "full" or c.level == "quick"]
+    assert [line.partition(": ")[0] for line in verdicts] == [f"PASS {n}" for n in expected]
+    assert summary == f"{count}/{count} checks passed at level {level}"
 
 
 def _run_tc_via(exe, label, env=None):

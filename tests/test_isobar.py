@@ -93,6 +93,15 @@ def test_below_tc_refused():
         solve_gap_isobar(SPEC32, 0.9 * tc, P)
 
 
+def test_condensed_region_carries_tc():
+    si = GasSpec(d=3.0, sigma=2.0, mass=6.6e-27, units="si")
+    for spec, P in ((SPEC32, 0.7), (GasSpec(d=2.0, sigma=1.5), 3.0), (si, 1e5)):
+        tc = critical_temperature_pressure(spec, P)
+        with pytest.raises(CondensedRegion) as info:
+            solve_gap_isobar(spec, 0.5 * tc, P)
+        assert info.value.T_c == tc
+
+
 def test_normal_phase_residual():
     P = 0.7
     tc = critical_temperature_pressure(SPEC32, P)
