@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .criticality import (
@@ -23,6 +24,7 @@ from .errors import (
     BoseEosError,
     ConfigError,
     ConvergenceError,
+    DomainError,
     ZeroTemperatureBEC,
 )
 from .gas import GasSpec
@@ -196,6 +198,11 @@ def _cmd_tc(args, config: dict) -> int:
             payload["T_c"] = 0.0
             payload["regime"] = "zero_temperature_BEC"
             payload["note"] = str(exc)
+    if not math.isfinite(payload["T_c"]):
+        raise DomainError(
+            f"T_c = {payload['T_c']!r} is outside the double range "
+            f"(d={spec.d:g}, sigma={spec.sigma:g}, {kind}={value:g})"
+        )
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

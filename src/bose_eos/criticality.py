@@ -16,17 +16,16 @@ critical exponents are what validate the analytics here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import BranchError, DomainError, FitError, UnsupportedRegime
 from .gas import GasSpec, as_natural, dispersion_coefficient
 from .isochore import critical_temperature_density, solve_gap_isochore
 from .special import gamma, zeta
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -210,11 +209,23 @@ def correlation_quantities(spec: GasSpec, r: float) -> CorrelationQuantities:
 
 
 def loglog_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope of log y against log x with its standard error."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
-    return float(coeffs[0]), float(math.sqrt(max(cov[0][0], 0.0)))
+    """Least-squares slope of log y against log x with its standard error.
+
+    The error is sqrt(SSR / ((n - 2) Sxx)), the scaling numpy.polyfit uses
+    for ``cov=True``; the sums are centred and exact-rounded.
+    """
+    lx = [math.log(v) for v in x]
+    ly = [math.log(v) for v in y]
+    n = len(lx)
+    if n < 3:
+        raise FitError(f"a slope with a standard error needs at least 3 points, got {n}")
+    mx, my = math.fsum(lx) / n, math.fsum(ly) / n
+    dx = [v - mx for v in lx]
+    dy = [v - my for v in ly]
+    sxx = math.fsum(u * u for u in dx)
+    slope = math.fsum(u * v for u, v in zip(dx, dy)) / sxx
+    ssr = math.fsum((v - slope * u) ** 2 for u, v in zip(dx, dy))
+    return slope, math.sqrt(ssr / ((n - 2) * sxx))
 
 
 FIT_KINDS = ("gamma_from_r", "nu_from_xi")
@@ -268,6 +279,8 @@ def extract_exponents(
             f"analytic exponent targets need sigma < d < 2 sigma, "
             f"got d={spec.d:g}, sigma={spec.sigma:g}"
         )
+    import numpy as np  # numpy's geomspace grid, kept bit for bit
+
     tc = critical_temperature_density(spec, rho)
     ts = np.geomspace(t_window[0], t_window[1], points)
     rs = [solve_gap_isochore(spec, tc * (1.0 + t), rho).r for t in ts]

@@ -15,6 +15,7 @@ round trips are exact scalings.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
@@ -22,6 +23,10 @@ from .special import gamma
 
 HBAR_SI = 1.054571817e-34  # J s
 KB_SI = 1.380649e-23  # J / K
+
+_LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
+_LN_MAX = math.log(sys.float_info.max)
 
 NATURAL = "natural"
 SI = "si"
@@ -178,9 +183,26 @@ def prefactor_A(d: float, sigma: float) -> float:
         raise DomainError(f"dimension must be positive, got d={d!r}")
     if not 0.0 < sigma <= 2.0:
         raise DomainError(f"need 0 < sigma <= 2, got sigma={sigma!r}")
-    num = 2.0 ** (1.0 - d + 2.0 * d / sigma) * gamma(d / sigma)
-    den = sigma * math.pi ** (d * (0.5 - 1.0 / sigma)) * gamma(d / 2.0)
-    return num / den
+    two_power = 1.0 - d + 2.0 * d / sigma
+    pi_power = d * (0.5 - 1.0 / sigma)
+    try:
+        a = 2.0**two_power * gamma(d / sigma) / (sigma * math.pi**pi_power * gamma(d / 2.0))
+    except OverflowError:
+        a = math.nan
+    if 0.0 < a < math.inf:
+        return a
+    # The Gamma functions or powers left the doubles (d=171, sigma=1 gives
+    # Gamma(171) 2^172, d=400 gives Gamma(200)); A itself may not have.
+    log_a = (
+        two_power * _LN2
+        + math.lgamma(d / sigma)
+        - math.log(sigma)
+        - pi_power * _LN_PI
+        - math.lgamma(d / 2.0)
+    )
+    if log_a > _LN_MAX:
+        raise DomainError(f"A(d, sigma) = e^{log_a:.6g} exceeds the double range (d={d!r}, sigma={sigma!r})")
+    return math.exp(log_a)
 
 
 def _density_prefactor(nat: GasSpec, T: float) -> float:

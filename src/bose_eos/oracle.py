@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConvergenceError, DivergentValue, DomainError
 from .gas import GasSpec, as_natural
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative size below which the remaining mode tail is considered converged.
 _TAIL_RTOL = 1e-12
@@ -56,6 +57,8 @@ def _mode_multiplicities(d: int, n_max: int) -> np.ndarray:
     integer (no rounding), so the summation order downstream is the only
     thing that matters for reproducibility.
     """
+    import numpy as np
+
     axis = np.zeros(n_max * n_max + 1)
     axis[0] = 1.0
     axis[np.arange(1, n_max + 1) ** 2] = 2.0
@@ -67,6 +70,8 @@ def _mode_multiplicities(d: int, n_max: int) -> np.ndarray:
 
 def _occupations(s_values: np.ndarray, eps_scale: float, sigma: float, r: float, T: float) -> np.ndarray:
     """Bose occupations 1/(e^((eps+r)/T) - 1) for eps = eps_scale * s^(sigma/2)."""
+    import numpy as np
+
     x = (eps_scale * s_values ** (sigma / 2.0) + r) / T
     with np.errstate(over="ignore"):
         return 1.0 / np.expm1(x)
@@ -74,6 +79,8 @@ def _occupations(s_values: np.ndarray, eps_scale: float, sigma: float, r: float,
 
 def _box_sum(nat: GasSpec, L: float, T: float, r: float, n_max: int) -> float:
     """Total occupation over the mode cube [-n_max, n_max]^d, natural units."""
+    import numpy as np
+
     d = int(nat.d)
     counts = _mode_multiplicities(d, n_max)
     s = np.arange(counts.size, dtype=float)
@@ -225,6 +232,8 @@ def series_sum_highprec(nu: float, y: float, tol: float = 1e-13) -> float:
         raise ConvergenceError(
             f"brute-force oracle would need {n_terms} terms at y={y:g}; argument too small"
         )
+
+    import numpy as np
 
     def terms():
         block = 1 << 16

@@ -7,21 +7,26 @@ The Bose function is the series
 which reduces to zeta(nu) at y = 0 for nu > 1 and diverges there for
 nu <= 1 (the signal for zero-temperature condensation).
 
-Three routes cover every real order, none needing more than ~10^3 terms:
+Two routes cover every real order, neither needing more than ~40 terms:
 
-* y >= SMALL_Y_SWITCH: direct summation with a rigorous geometric tail bound;
+* y >= SMALL_Y_SWITCH (= 1): direct summation with a rigorous geometric
+  tail bound;
 * y < SMALL_Y_SWITCH: the small-argument (Robinson) expansion
 
       g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_{k >= 0} (-y)^k zeta(nu - k) / k!
 
-  whose terms fall by y / 2 pi per step, so about ten reach double
-  precision; its zeta coefficients are cached per order;
-* the same expansion for nu within _INTEGER_TOL of an integer n >= 1, with
-  its two pole terms (the Gamma lead and k = n - 1) merged analytically.
-  At nu = n this is the logarithmic form (J. E. Robinson, Phys. Rev. 83,
-  678 (1951); D. C. Wood, Univ. of Kent TR 15-92 (1992))
+  whose terms fall by y / 2 pi per step; its zeta coefficients are cached
+  per order. For nu within _MERGE_TOL of an integer n >= 1 its two pole
+  terms (the Gamma lead and k = n - 1) are merged analytically. At nu = n
+  this is the logarithmic form (J. E. Robinson, Phys. Rev. 83, 678 (1951);
+  D. C. Wood, Univ. of Kent TR 15-92 (1992))
 
       g_n(y) = (-y)^(n-1) / (n-1)! [H_(n-1) - ln y] + sum_{k != n-1} (-y)^k zeta(n - k) / k! .
+
+zeta and Gamma need only the standard library: zeta is Borwein's
+accelerated alternating series (P. Borwein, "An efficient algorithm for the
+Riemann zeta function", CMS Conf. Proc. 27, 2000) from just below s = 0
+up and the functional equation further down; Gamma is ``math.gamma``.
 
 Every evaluation returns an :class:`EvalResult` carrying an absolute-error
 estimate (omitted terms plus a float round-off allowance), so callers can
@@ -32,27 +37,29 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import special as _sp
 
 from .errors import DivergentValue, DomainError, PoleError
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 
 # Below this argument the small-argument expansion replaces the direct
-# series, whose term count grows like 1/y (~800 terms at the switch).
-SMALL_Y_SWITCH = 0.05
+# series; both need about 20 (expansion) to 36 (series) terms at the switch.
+SMALL_Y_SWITCH = 1.0
 
 # Orders closer than this to an integer n >= 1 take the merged form: the
-# expansion's Gamma(1 - nu) and zeta(nu - k) poles no longer cancel cleanly
-# in double precision.
+# expansion's Gamma(1 - nu) and zeta(nu - k) poles cancel to about
+# 3e-16 / |nu - n| of y^(n-1) / (n-1)!, which stays below 3e-13 outside it.
+_MERGE_TOL = 1e-3
+
+# bose_g_small_y rejects orders this close to an integer: its truncated
+# view of the expansion has no logarithmic form.
 _INTEGER_TOL = 1e-6
 
-# Expansion coefficients cached per order; terms fall by y / 2 pi < 0.008
-# per step below the switch, so the sum stops long before this.
-_KMAX_ADAPTIVE = 30
+# Expansion coefficients cached per order; terms fall by y / 2 pi < 0.16
+# per step below the switch, so the sum stops before this.
+_KMAX_ADAPTIVE = 40
 
 # Largest truncation bose_g_small_y accepts: its coefficients run to
 # k_max + 1, and 1/k! is a normal double only through k = 170. Beyond that
@@ -60,9 +67,44 @@ _KMAX_ADAPTIVE = 30
 # and the sum turns into nan.
 _KMAX_LIMIT = 169
 
-# Stieltjes constants: zeta(1 + eps) - 1/eps = sum_j (-1)^j gamma_j eps^j / j!.
-_STIELTJES = (0.5772156649015329, -0.0728158454836767, -0.0096903631928723)
-_ZETA_3 = 1.2020569031595942
+# Stieltjes constants gamma_0 .. gamma_5, zeta(1 + eps) - 1/eps =
+# sum_j (-1)^j gamma_j eps^j / j!; mpmath.stieltjes(j) at 40 digits, rounded.
+_STIELTJES = (
+    0.5772156649015329,
+    -0.07281584548367673,
+    -0.00969036319287232,
+    0.002053834420303346,
+    0.0023253700654673,
+    0.0007933238173010627,
+)
+
+_LN2 = math.log(2.0)
+_TWO_PI = 2.0 * math.pi
+# pi - float(pi), relative to pi: corrects (2 pi)^s for the rounding of pi.
+_PI_REL_LO = 1.2246467991473532e-16 / math.pi
+
+
+def _borwein_pairs(n: int) -> tuple:
+    """Weights of Borwein's eta(s) = sum_(k < n) (-1)^k e_k (k + 1)^-s, in pairs.
+
+    e_k = 1 - d_k / d_n with the integers
+    d_k = n sum_(i <= k) (n + i - 1)! 4^i / ((n - i)! (2i)!); the error is
+    about (3 + sqrt 8)^-n. Pair (k, k + 1), k even, is summed as
+    e_k (a_k - a_(k+1)) + (e_k - e_(k+1)) a_(k+1) with a_k = (k + 1)^-s:
+    two nonnegative terms for s >= 0, so no cancellation is left to fsum.
+    Entries are (k + 1, ln(1 + 1/(k + 1)), e_k, e_k - e_(k+1)).
+    """
+    d, partial = 0, []
+    for i in range(n + 1):
+        d += n * math.factorial(n + i - 1) * 4**i // (math.factorial(n - i) * math.factorial(2 * i))
+        partial.append(d)
+    return tuple(
+        (k + 1, math.log1p(1.0 / (k + 1)), (d - partial[k]) / d, (partial[k + 1] - partial[k]) / d)
+        for k in range(0, n, 2)
+    )
+
+
+_BORWEIN = _borwein_pairs(24)
 
 
 @dataclass(frozen=True)
@@ -81,24 +123,82 @@ def zeta(s: float) -> float:
     """Riemann zeta function at real ``s`` != 1.
 
     Arguments below 1 are supported (analytic continuation); the pole at
-    s = 1 raises :class:`PoleError`.
+    s = 1 raises :class:`PoleError`. Accurate to a few ulp relative, also
+    next to the trivial zeros at s = -2, -4, ....
     """
     s = float(s)
     if s == 1.0:
         raise PoleError("zeta(s) has a pole at s = 1")
-    return float(_sp.zeta(s))
+    return _zeta(s)
+
+
+def _eta(s: float) -> float:
+    """Dirichlet eta(s) = (1 - 2^(1-s)) zeta(s) for s > -1e-3."""
+    terms = []
+    for j, log_step, e, de in _BORWEIN:
+        a = j**-s
+        terms += (e * a * -math.expm1(-s * log_step), de * (j + 1) ** -s)
+    return math.fsum(terms)
+
+
+@functools.lru_cache(maxsize=4096)
+def _zeta(s: float) -> float:
+    if s > -1e-3:
+        # the paired series stays accurate a little below 0, where the
+        # functional equation would meet the pole of zeta(1 - s)
+        return _eta(s) / -math.expm1((1.0 - s) * _LN2)
+    # zeta(s) = 2 sin(pi s / 2) (2 pi)^(s - 1) Gamma(1 - s) zeta(1 - s), with
+    # each factor taken at the exact s or -s: 1 - s may round, and Gamma and
+    # the pole of zeta(1 - s) would amplify that rounding.
+    j = round(0.5 * s)
+    r = 0.5 * s - j  # exact; sin(pi s / 2) = (-1)^j sin(pi r)
+    if r == 0.0:
+        return 0.0  # trivial zeros
+    reflected = _eta(1.0 - s) / -math.expm1(s * _LN2)
+    if s > -170.0:
+        scale = _gamma_one_plus(-s) * _TWO_PI**s / _TWO_PI * (1.0 + (s - 1.0) * _PI_REL_LO)
+    else:
+        # Gamma(1 - s) overflows before zeta(s) does
+        log_scale = math.lgamma(1.0 - s) + (s - 1.0) * math.log(_TWO_PI)
+        scale = math.exp(log_scale) if log_scale < math.log(sys.float_info.max) else math.inf
+    return 2.0 * (-1.0) ** j * math.sin(math.pi * r) * scale * reflected
+
+
+# (zeta(k) - 1) / k for k = 2 .. 29: the series of ln Gamma(1 + z) below.
+_LGAMMA_SERIES = tuple((_zeta(float(k)) - 1.0) / k for k in range(2, 30))
+
+
+def _gamma_one_plus(x: float) -> float:
+    """Gamma(1 + x) for 0 < x < 170 to about one ulp (math.gamma errs by up to ~4).
+
+    Gamma(1 + x) = x (x - 1) ... (z + 1) Gamma(1 + z) with z = x - round(x):
+    the product is exact in integers, and for |z| <= 1/2
+
+        ln Gamma(1 + z) = (1 - gamma_0) z - ln(1 + z) + sum_(k >= 2) (zeta(k) - 1) (-z)^k / k
+
+    has terms below 4^-k / k.
+    """
+    m = round(x)
+    z = x - m
+    p, q = x.as_integer_ratio()
+    shifts = math.prod(p - i * q for i in range(m))  # q^m x (x - 1) ... (z + 1)
+    series = math.fsum(c * (-z) ** k for k, c in enumerate(_LGAMMA_SERIES, start=2))
+    log_gamma = (1.0 - _STIELTJES[0]) * z - math.log1p(z) + series
+    return math.exp(log_gamma) * (shifts / q**m)
 
 
 def gamma(x: float) -> float:
-    """Gamma function at real ``x``, rejecting the poles at 0, -1, -2, ...."""
+    """Gamma function at real ``x``, rejecting the poles at 0, -1, -2, ....
+
+    Past x ~ 171.6 the value exceeds the doubles and is returned as inf.
+    """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma(x) has a pole at x = {x:g}")
-    return float(_sp.gamma(x))
-
-
-def _is_near_integer(nu: float) -> bool:
-    return abs(nu - round(nu)) < _INTEGER_TOL
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def _series_terms_needed(nu: float, y: float, tol: float) -> int:
@@ -121,40 +221,45 @@ def _series_tail_bound(nu: float, y: float, n_terms: int) -> float:
 def _bose_series(nu: float, y: float) -> EvalResult:
     """Direct summation sum_n exp(-n y) n^-nu for y >= SMALL_Y_SWITCH."""
     n_terms = _series_terms_needed(nu, y, 1e-15)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    value = float(np.sum(np.exp(-y * n) * n ** (-nu)))
+    # exp per term: powers of a rounded exp(-y) drift by n ulp, together
+    value = math.fsum([math.exp(-y * n) * n**-nu for n in range(1, n_terms + 1)])
     err = _series_tail_bound(nu, y, n_terms) + 4.0 * _EPS * abs(value)
     return EvalResult(value, err, n_terms)
 
 
 @functools.lru_cache(maxsize=512)
-def _expansion_constants(nu: float, count: int) -> tuple:
+def _expansion_constants(nu: float, count: int, merge: bool) -> tuple:
     """Per-order constants of the small-y expansion: (coeffs, lead, pair).
 
     coeffs[k] = zeta(nu - k) / k! for k < count and lead = Gamma(1 - nu),
-    unless nu = n + eps with n >= 1 and |eps| < _INTEGER_TOL. Then lead and
-    coefficient k = m = n - 1 both have a pole at eps = 0; writing the lead
-    as -(-y)^m / m! exp(x) / eps with
+    unless ``merge`` is set and nu = n + eps with n >= 1 and
+    |eps| < _MERGE_TOL. Then lead and coefficient k = m = n - 1 both have a
+    pole at eps = 0; writing the lead as -(-y)^m / m! exp(x) / eps with
 
-        x = eps (ln y - psi(n)) + eps^2 (pi^2/6 - psi'(n)/2) - eps^3 psi''(n)/6
+        x = eps (ln y - psi(n)) + sum_(p >= 2) (zeta(p) + (-1)^p H_m^(p)) eps^p / p,
 
-    their sum is (-y)^m / m! [(zeta(1 + eps) - 1/eps) - expm1(x) / eps], free
-    of the pole. coeffs[m] is then 0, lead is None, and pair holds
+    the series of ln(pi eps / sin(pi eps)) - ln(Gamma(n + eps) / Gamma(n))
+    with H_m^(p) = sum_(j <= m) j^-p, their sum is
+    (-y)^m / m! [(zeta(1 + eps) - 1/eps) - expm1(x) / eps], free of the pole.
+    coeffs[m] is then 0, lead is None, and pair holds
     (m, eps, (-1)^m / m!, zeta(1 + eps) - 1/eps, c) with x = eps (ln y + c).
-    The omitted O(eps^4) in x and O(eps^3) in the Stieltjes series are below
-    1e-18.
+    x runs through eps^6 and the Stieltjes series through gamma_5; the
+    omitted terms are below 1e-18 at |eps| = 1e-3.
     """
     n = round(nu)
     lead, pair, m = None, None, -1
-    if n >= 1 and _is_near_integer(nu):
+    if merge and n >= 1 and abs(nu - n) < _MERGE_TOL:
         m, eps = n - 1, nu - n
         scale = (-1.0) ** m / math.factorial(m) if m <= 170 else 0.0  # 1/m! underflows past 170
         js = range(1, n) if scale else ()
-        g0, g1, g2 = _STIELTJES
-        psi = math.fsum(1.0 / j for j in js) - g0
-        x2 = math.fsum(1.0 / j**2 for j in js) / 2.0 + math.pi**2 / 12.0
-        x3 = (_ZETA_3 - math.fsum(1.0 / j**3 for j in js)) / 3.0
-        pair = (m, eps, scale, g0 - eps * (g1 - eps * g2 / 2.0), eps * (x2 + eps * x3) - psi)
+        tail = 0.0  # c + psi(n), by Horner in eps
+        for p in range(6, 1, -1):
+            tail = (zeta(p) + (-1) ** p * math.fsum(j**-p for j in js)) / p + eps * tail
+        psi = math.fsum(1.0 / j for j in js) - _STIELTJES[0]
+        zeta_regular = 0.0
+        for j in range(len(_STIELTJES) - 1, -1, -1):
+            zeta_regular = (-1) ** j * _STIELTJES[j] / math.factorial(j) + eps * zeta_regular
+        pair = (m, eps, scale, zeta_regular, eps * tail - psi)
     else:
         lead = gamma(1.0 - nu)
     coeffs = []
@@ -168,16 +273,16 @@ def _expansion_constants(nu: float, count: int) -> tuple:
 def _bose_expansion(nu: float, y: float, k_max: int | None = None) -> EvalResult:
     """Small-argument expansion around y = 0, 0 < y < 2 pi.
 
-    With ``k_max`` exactly the k = 0 .. k_max powers are summed and the
-    first omitted term is the truncation estimate. Without it the sum stops
-    once two consecutive terms are below round-off (one of them may sit on
-    a trivial zero of zeta); later terms shrink by y / 2 pi per step, so
-    those two bound the rest. The round-off allowance scales with the
-    largest intermediate: the lead and the zeta sum cancel when nu sits
-    near an integer.
+    With ``k_max`` exactly the Gamma lead and the k = 0 .. k_max powers are
+    summed, unmerged, and the first omitted term is the truncation estimate.
+    Without it the sum stops once two consecutive terms are below round-off
+    (one of them may sit on a trivial zero of zeta); later terms shrink by
+    y / 2 pi per step, so those two bound the rest. The round-off allowance
+    scales with the largest intermediate: the lead and the zeta sum cancel
+    when nu sits near an integer.
     """
     count = _KMAX_ADAPTIVE if k_max is None else k_max + 2
-    coeffs, lead, pair = _expansion_constants(nu, count)
+    coeffs, lead, pair = _expansion_constants(nu, count, k_max is None)
     if pair is None:
         total = lead * y ** (nu - 1.0)
         # y^(nu-1) carries the rounding of its exponent, amplified by ln y
@@ -229,13 +334,8 @@ def bose_g(nu: float, y: float) -> EvalResult:
 
     Returns
     -------
-    EvalResult whose ``est_error`` bounds the absolute error. The error is
-    below 1e-12, except for orders nu = n + eps within ~1e-3 of an integer
-    n >= 1 but outside _INTEGER_TOL, at y < SMALL_Y_SWITCH. There
-    Gamma(1 - nu) y^(nu-1) and the k = n - 1 term, each about
-    y^(n-1) / ((n-1)! |eps|), cancel and leave up to
-    ~3e-16 y^(n-1) / ((n-1)! |eps|): 3e-10 near nu = 1 and 1e-11 near
-    nu = 2 at |eps| = 1e-6.
+    EvalResult whose ``est_error`` bounds the absolute error, which is
+    below 1e-12 for every order.
     """
     nu = float(nu)
     y = float(y)
@@ -266,7 +366,7 @@ def bose_g_small_y(nu: float, y: float, k_max: int) -> EvalResult:
     y = float(y)
     if nu <= 0.0:
         raise DomainError(f"order must be positive, got nu={nu:g}")
-    if _is_near_integer(nu):
+    if abs(nu - round(nu)) < _INTEGER_TOL:
         raise DomainError(
             f"small-argument expansion needs non-integer order, got nu={nu:g}"
         )

@@ -11,8 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CondensedRegion, DomainError
 from .gas import GasSpec
 from .isobar import REGIME_BOUNDARY, solve_gap_isobar
@@ -100,12 +98,19 @@ def _json_cell(value):
 
 
 def temperature_grid(request: SweepRequest) -> list[float]:
-    """The sweep's temperature values, ascending."""
-    if request.spacing == "linear":
-        grid = np.linspace(request.T_min, request.T_max, request.points)
-    else:
-        grid = np.geomspace(request.T_min, request.T_max, request.points)
-    return [float(T) for T in grid]
+    """The sweep's temperature values, ascending.
+
+    Bit for bit numpy's linspace and geomspace. Linear grids are built the
+    way linspace builds them, so they need no numpy; a plain-Python
+    geomspace would differ in the last digit of many cells.
+    """
+    start, stop, points = request.T_min, request.T_max, request.points
+    if request.spacing == "log":
+        import numpy as np
+
+        return np.geomspace(start, stop, points).tolist()
+    step = (stop - start) / (points - 1)
+    return [i * step + start for i in range(points - 1)] + [stop]
 
 
 def _isochore_row(spec: GasSpec, T: float, rho: float) -> dict:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from .criticality import (
     chemical_potential_asymptotic,
     correlation_quantities,
@@ -54,7 +52,6 @@ BOX_EDGES = (2.0, 4.0, 8.0, 16.0, 32.0)
 # to be within BOX_RTOL of the thermodynamic limit.
 L_STAR = 16.0
 BOX_RTOL = 1e-3
-TRICRITICAL_TS = np.geomspace(1e-5, 1e-2, 16)
 
 
 @dataclass(frozen=True)
@@ -109,14 +106,14 @@ class SharedWork:
     @cached_property
     def tricritical_powers(self) -> list[tuple[float, float]]:
         """(fitted, predicted) powers of t in the Psi^2 and Psi^4 coefficients."""
-        coeffs = [
-            landau_taylor_coefficients(landau_model(SPEC32, rho=1.0, t=float(t)))
-            for t in TRICRITICAL_TS
-        ]
+        import numpy as np
+
+        ts = np.geomspace(1e-5, 1e-2, 16).tolist()
+        coeffs = [landau_taylor_coefficients(landau_model(SPEC32, rho=1.0, t=t)) for t in ts]
         d, sigma = SPEC32.d, SPEC32.sigma
         targets = (sigma / (d - sigma), (2.0 * sigma - d) / (d - sigma))
         return [
-            (loglog_slope(TRICRITICAL_TS, [c[i] for c in coeffs])[0], targets[i])
+            (loglog_slope(ts, [c[i] for c in coeffs])[0], targets[i])
             for i in (0, 1)
         ]
 
@@ -163,6 +160,8 @@ def _prefactor(_: SharedWork) -> float:
 
 
 def _isochore_roundtrip(_: SharedWork) -> float:
+    import numpy as np
+
     worst = 0.0
     for sigma in (2.0, 1.8, 1.5):
         spec = GasSpec(d=3.0, sigma=sigma)
@@ -175,6 +174,8 @@ def _isochore_roundtrip(_: SharedWork) -> float:
 
 def _condensate(_: SharedWork) -> float:
     """Density residual and the law psi2 = 1 - (T/T_c)^(d/sigma), from 1e-6 T_c to T_c."""
+    import numpy as np
+
     worst = 0.0
     for spec in SPECS:
         tc = critical_temperature_density(spec, 1.0)
@@ -212,6 +213,8 @@ def _stationarity(_: SharedWork) -> float:
 
 
 def _eta_slope(_: SharedWork) -> float:
+    import numpy as np
+
     worst = 0.0
     ks = np.geomspace(1e-2, 1.0, 12)
     for d, sigma in ((3.0, 2.0), (3.0, 1.8), (2.0, 1.5)):

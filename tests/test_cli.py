@@ -54,6 +54,45 @@ def test_tc_at_pressure():
     assert doc["T_c"] > 0.0
 
 
+def test_tc_where_gamma_overflows_prints_strict_json():
+    # A(400, 2) = 1 exactly, but Gamma(200) / Gamma(200) once printed NaN
+    proc = run_cli("tc", "--d", "400", "--sigma", "2", "--density", "1")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+    assert doc["T_c"] == pytest.approx(2.0 * math.pi, rel=1e-14)  # zeta(200) = 1
+
+
+def test_tc_refuses_a_non_finite_value():
+    proc = run_cli("tc", "--d", "3", "--sigma", "2", "--mass", "1e-300", "--density", "1e100")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: T_c = inf") and not proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-c", "import bose_eos"],
+        ["-m", "bose_eos", "tc", "--d", "3", "--sigma", "2", "--density", "1.0"],
+        ["-m", "bose_eos", "landau", "--d", "3", "--sigma", "2", "--density", "1.0", "--t=-0.1,0,0.1"],
+        ["-m", "bose_eos", "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
+         "--tmin", "0.2", "--tmax", "2.0", "--points", "50"],
+    ],
+    ids=["import", "tc", "landau", "linear-sweep"],
+)
+def test_start_up_loads_neither_numpy_nor_scipy(argv):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {
+        line.rsplit("|", 1)[-1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "bose_eos" in loaded
+    assert not loaded & {"numpy", "scipy"}
+
+
 def test_sweep_csv_is_byte_deterministic():
     args = (
         "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",

@@ -37,7 +37,7 @@ def test_window_rejected_outside_sigma_d_2sigma(d, sigma):
 
 def test_coefficient_against_independent_special_functions():
     # rebuild C_f with the Dirichlet-sum zeta and the stdlib Gamma through
-    # the reflection formula; no scipy anywhere in this reference value
+    # the reflection formula, independent of the package's zeta and Gamma
     rho, t = 1.3, 0.02
     for d, sigma in ((3.0, 2.0), (3.0, 1.8), (2.2, 1.5)):
         spec = GasSpec(d=d, sigma=sigma)

@@ -9,6 +9,7 @@ from bose_eos import (
     DomainError,
     GasSpec,
     as_natural,
+    critical_temperature_density,
     dispersion,
     dispersion_coefficient,
     lambda0,
@@ -83,6 +84,28 @@ def test_prefactor_A_is_one_for_quadratic_dispersion(d):
 def test_prefactor_A_linear_dispersion_value():
     # term-by-term: 2^(1-3+6) Gamma(3) / (1 pi^(3(1/2-1)) Gamma(3/2)) = 64 pi
     assert prefactor_A(3.0, 1.0) == pytest.approx(64.0 * math.pi, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, sigma", [(171.0, 1.0), (400.0, 2.0)])
+def test_prefactor_A_and_tc_where_gamma_overflows(d, sigma):
+    # Gamma(171) 2^172 and Gamma(200) leave the doubles; A (about 4.6e273,
+    # and exactly 1) and T_c do not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(d) / sigma
+        exact_a = (
+            2 ** (1 - d + 2 * nu) * mpmath.gamma(nu)
+            / (sigma * mpmath.pi ** (d * (0.5 - 1 / mpmath.mpf(sigma))) * mpmath.gamma(mpmath.mpf(d) / 2))
+        )
+        exact_tc = 2 * mpmath.pi * (exact_a * mpmath.zeta(nu)) ** (-1 / nu)  # rho = m = 1
+    assert prefactor_A(d, sigma) == pytest.approx(float(exact_a), rel=1e-12)
+    tc = critical_temperature_density(GasSpec(d=d, sigma=sigma), 1.0)
+    assert tc == pytest.approx(float(exact_tc), rel=1e-13)
+
+
+def test_prefactor_A_beyond_double_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="double range"):
+        prefactor_A(3000.0, 1.0)
 
 
 def test_prefactor_A_domain():

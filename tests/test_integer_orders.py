@@ -24,10 +24,10 @@ from bose_eos import (
 from bose_eos.special import SMALL_Y_SWITCH
 
 CONSTRAINT_RTOL = 1e-10
-# Terms per call: the small-y expansion needs about ten; the direct series,
-# used only from SMALL_Y_SWITCH up, about 800 at the switch.
+# Terms per call: the small-y expansion needs about twenty at the switch;
+# the direct series, used only from SMALL_Y_SWITCH up, about 36 there.
 SMALL_Y_MAX_TERMS = 100
-SERIES_MAX_TERMS = 1000
+SERIES_MAX_TERMS = 40
 
 
 @pytest.fixture

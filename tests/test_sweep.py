@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bose_eos import (
@@ -62,6 +63,27 @@ def test_temperature_grids():
         density_request(T_min=0.01, T_max=100.0, points=5, spacing="log")
     )
     assert logg == pytest.approx([0.01, 0.1, 1.0, 10.0, 100.0], rel=1e-12)
+
+
+def test_temperature_grid_is_numpy_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+    @hypothesis.given(
+        T_min=st.floats(1e-300, 1e290),
+        ratio=st.floats(1.0, 1e8, exclude_min=True),
+        points=st.integers(2, 600),
+        spacing=st.sampled_from(["linear", "log"]),
+    )
+    def check(T_min, ratio, points, spacing):
+        T_max = T_min * ratio
+        hypothesis.assume(T_max > T_min)
+        grid = temperature_grid(density_request(T_min=T_min, T_max=T_max, points=points, spacing=spacing))
+        numpy_grid = np.linspace if spacing == "linear" else np.geomspace
+        assert grid == numpy_grid(T_min, T_max, points).tolist()
+
+    check()
 
 
 def test_isochore_sweep_crosses_transition():
