@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .criticality import (
@@ -24,7 +23,6 @@ from .errors import (
     BoseEosError,
     ConfigError,
     ConvergenceError,
-    DomainError,
     ZeroTemperatureBEC,
 )
 from .gas import GasSpec
@@ -198,11 +196,6 @@ def _cmd_tc(args, config: dict) -> int:
             payload["T_c"] = 0.0
             payload["regime"] = "zero_temperature_BEC"
             payload["note"] = str(exc)
-    if not math.isfinite(payload["T_c"]):
-        raise DomainError(
-            f"T_c = {payload['T_c']!r} is outside the double range "
-            f"(d={spec.d:g}, sigma={spec.sigma:g}, {kind}={value:g})"
-        )
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

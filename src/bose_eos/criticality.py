@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import BranchError, DomainError, FitError, UnsupportedRegime
-from .gas import GasSpec, as_natural, dispersion_coefficient
+from .gas import GasSpec, _scales, dispersion_coefficient
 from .isochore import critical_temperature_density, solve_gap_isochore
 from .special import gamma, zeta
 
@@ -106,18 +106,17 @@ def landau_model(
         )
     nu = spec.d_over_sigma
     tc = critical_temperature_density(spec, rho)
-    nat, conv = as_natural(spec)
+    energy, length = _scales(spec)
     mu_coeff = (zeta(nu) / abs(gamma(1.0 - nu))) ** (1.0 / (nu - 1.0))
-    cf_nat = (nu - 1.0) * mu_coeff * conv.temperature_in(tc) * conv.density_in(rho)
-    kb_t_nat = conv.temperature_in(tc) * (1.0 + t)
+    cf_nat = (nu - 1.0) * mu_coeff * tc * (rho * length**spec.d)
     return LandauModel(
-        C_f=conv.energy_density_out(cf_nat),
+        C_f=cf_nat * energy / length**spec.d,
         d_over_sigma=nu,
         t=t,
         valid_window=valid_window,
         T_c=tc,
         rho=rho,
-        thermal_energy=conv.energy_out(kb_t_nat),
+        thermal_energy=tc * (1.0 + t) * energy,
         mu_coeff=mu_coeff,
     )
 

@@ -5,27 +5,30 @@ the thermal wavelength, its temperature-independent companion lambda_0, and
 the dimensionless density-of-states prefactor A(d, sigma) that equals 1 for
 quadratic dispersion in any dimension.
 
-All internal computation is done in natural units (hbar = k_B = 1); a spec
-created with ``units="si"`` gets its inputs and outputs converted at the
-public API boundary. The SI-to-natural map keeps the kilogram and the kelvin
-as base units and sets the energy and length scales from k_B and hbar, so
-round trips are exact scalings.
+All internal computation is done in natural units (hbar = k_B = 1). SI
+differs from them only by an energy scale and a length scale (see
+``_scales``): mass stays in kilograms and temperature in kelvin, so a public
+function reads d, sigma, mass and T as given and converts only energies,
+densities and pressures, once on the way in and once on the way out. For
+sigma != 2 that choice of base units fixes the SI value of the stiffness
+hbar^2 / 2m, which is k_B^(1 - sigma/2) hbar^sigma / 2m.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import gamma
+from .special import gamma, zeta
 
 HBAR_SI = 1.054571817e-34  # J s
 KB_SI = 1.380649e-23  # J / K
 
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
+_LN_2PI = math.log(2.0 * math.pi)
 _LN_MAX = math.log(sys.float_info.max)
 
 NATURAL = "natural"
@@ -82,81 +85,26 @@ class GasSpec:
         )
 
 
-class UnitConversion:
-    """Scale factors between a spec's unit system and natural units.
+def _scales(spec: GasSpec) -> tuple[float, float]:
+    """(E0, L0): the natural energy and length units in ``spec``'s units.
 
-    For natural specs every factor is 1. For SI specs the natural system
-    keeps kg and K as base units and fixes hbar = k_B = 1, giving
-    energy scale E0 = k_B * 1 K and length scale L0 = hbar / sqrt(E0 * 1 kg).
-    ``*_in`` takes a value in spec units to natural units, ``*_out`` the
-    reverse; density and pressure factors depend on the dimension d.
+    Natural specs give (1, 1). SI keeps the kilogram and the kelvin as base
+    units and fixes hbar = k_B = 1, so mass and temperature need no
+    conversion; E0 = k_B * 1 K in joules and L0 = hbar / sqrt(E0 * 1 kg) in
+    metres. An energy enters as e / E0, a density as rho L0^d and a pressure
+    as P L0^d / E0, and each leaves the inverse way.
     """
-
-    def __init__(self, spec: GasSpec):
-        if spec.units == NATURAL:
-            self.energy = 1.0
-            self.length = 1.0
-            self.temperature = 1.0
-            self.mass = 1.0
-        else:
-            self.energy = KB_SI  # J per natural energy unit
-            self.temperature = 1.0  # K per natural temperature unit
-            self.mass = 1.0  # kg per natural mass unit
-            self.length = HBAR_SI / math.sqrt(KB_SI)  # m per natural length unit
-        self._d = spec.d
-
-    def temperature_in(self, T: float) -> float:
-        return T / self.temperature
-
-    def temperature_out(self, T: float) -> float:
-        return T * self.temperature
-
-    def energy_in(self, e: float) -> float:
-        return e / self.energy
-
-    def energy_out(self, e: float) -> float:
-        return e * self.energy
-
-    def length_in(self, x: float) -> float:
-        return x / self.length
-
-    def length_out(self, x: float) -> float:
-        return x * self.length
-
-    def wavenumber_in(self, k: float) -> float:
-        return k * self.length
-
-    def density_in(self, rho: float) -> float:
-        return rho * self.length**self._d
-
-    def density_out(self, rho: float) -> float:
-        return rho / self.length**self._d
-
-    def pressure_in(self, P: float) -> float:
-        return P * self.length**self._d / self.energy
-
-    def pressure_out(self, P: float) -> float:
-        return P * self.energy / self.length**self._d
-
-    def energy_density_out(self, f: float) -> float:
-        return f * self.energy / self.length**self._d
-
-
-def as_natural(spec: GasSpec) -> tuple[GasSpec, UnitConversion]:
-    """Return the spec rewritten in natural units plus the conversion used."""
-    conv = UnitConversion(spec)
     if spec.units == NATURAL:
-        return spec, conv
-    return replace(spec, mass=spec.mass / conv.mass, units=NATURAL), conv
+        return 1.0, 1.0
+    return KB_SI, HBAR_SI / math.sqrt(KB_SI)
 
 
 def thermal_wavelength(spec: GasSpec, T: float) -> float:
     """lambda_T = (2 pi hbar^2 / (m k_B T))^(1/sigma); scales as T^(-1/sigma)."""
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
-    nat, conv = as_natural(spec)
-    lam = (2.0 * math.pi / (nat.mass * conv.temperature_in(T))) ** (1.0 / nat.sigma)
-    return conv.length_out(lam)
+    _, length = _scales(spec)
+    return (2.0 * math.pi / (spec.mass * T)) ** (1.0 / spec.sigma) * length
 
 
 def lambda0(spec: GasSpec) -> float:
@@ -164,9 +112,8 @@ def lambda0(spec: GasSpec) -> float:
 
     Temperature independent; carries units length * temperature^(1/sigma).
     """
-    nat, conv = as_natural(spec)
-    lam0 = (2.0 * math.pi / nat.mass) ** (1.0 / nat.sigma)
-    return conv.length_out(lam0) * conv.temperature ** (1.0 / nat.sigma)
+    _, length = _scales(spec)
+    return (2.0 * math.pi / spec.mass) ** (1.0 / spec.sigma) * length
 
 
 def prefactor_A(d: float, sigma: float) -> float:
@@ -193,22 +140,54 @@ def prefactor_A(d: float, sigma: float) -> float:
         return a
     # The Gamma functions or powers left the doubles (d=171, sigma=1 gives
     # Gamma(171) 2^172, d=400 gives Gamma(200)); A itself may not have.
-    log_a = (
-        two_power * _LN2
-        + math.lgamma(d / sigma)
-        - math.log(sigma)
-        - pi_power * _LN_PI
-        - math.lgamma(d / 2.0)
-    )
+    log_a = _log_prefactor_A(d, sigma)
     if log_a > _LN_MAX:
         raise DomainError(f"A(d, sigma) = e^{log_a:.6g} exceeds the double range (d={d!r}, sigma={sigma!r})")
     return math.exp(log_a)
 
 
-def _density_prefactor(nat: GasSpec, T: float) -> float:
+def _log_prefactor_A(d: float, sigma: float) -> float:
+    """ln A(d, sigma) through lgamma, finite wherever d > 0 and 0 < sigma <= 2."""
+    return (
+        (1.0 - d + 2.0 * d / sigma) * _LN2
+        + math.lgamma(d / sigma)
+        - math.log(sigma)
+        - d * (0.5 - 1.0 / sigma) * _LN_PI
+        - math.lgamma(d / 2.0)
+    )
+
+
+def _density_prefactor(spec: GasSpec, T: float) -> float:
     """lambda_T^-d * A(d, sigma) in natural units."""
-    return (nat.mass * T / (2.0 * math.pi)) ** nat.d_over_sigma * prefactor_A(
-        nat.d, nat.sigma
+    return (spec.mass * T / (2.0 * math.pi)) ** spec.d_over_sigma * prefactor_A(
+        spec.d, spec.sigma
+    )
+
+
+def _critical_temperature_in_logs(spec: GasSpec, value: float, k: int) -> float:
+    """T_c taken in log form, for where the direct product leaves the doubles.
+
+    Inverts value L0^d / E0^k = T^k (m T / 2 pi)^(d/sigma) A zeta(d/sigma + k),
+    the r = 0 density (k = 0) or pressure (k = 1) in natural units. A T_c
+    that is itself outside the doubles is a DomainError naming d, sigma and
+    the constraint.
+    """
+    energy, length = _scales(spec)
+    nu = spec.d_over_sigma
+    log_tc = (
+        math.log(value)
+        + spec.d * math.log(length)
+        - k * math.log(energy)
+        - _log_prefactor_A(spec.d, spec.sigma)
+        - math.log(zeta(nu + k))
+        + nu * (_LN_2PI - math.log(spec.mass))
+    ) / (nu + k)
+    tc = math.exp(log_tc) if log_tc <= _LN_MAX else math.inf
+    if 0.0 < tc < math.inf:
+        return tc
+    raise DomainError(
+        f"T_c = {tc!r} is outside the double range "
+        f"(d={spec.d:g}, sigma={spec.sigma:g}, {('rho', 'P')[k]}={value!r})"
     )
 
 
@@ -216,14 +195,15 @@ def dispersion(spec: GasSpec, k: float) -> float:
     """Single-particle energy epsilon(k) = (hbar^2 / 2m) k^sigma, k >= 0."""
     if k < 0.0:
         raise DomainError(f"wavenumber must be >= 0, got k={k!r}")
-    nat, conv = as_natural(spec)
-    k_nat = conv.wavenumber_in(k)
-    eps = k_nat**nat.sigma / (2.0 * nat.mass)
-    return conv.energy_out(eps)
+    energy, length = _scales(spec)
+    return (k * length) ** spec.sigma / (2.0 * spec.mass) * energy
 
 
 def dispersion_coefficient(spec: GasSpec) -> float:
-    """The stiffness c = hbar^2 / 2m multiplying k^sigma, in spec units."""
-    nat, conv = as_natural(spec)
-    c = 1.0 / (2.0 * nat.mass)
-    return conv.energy_out(c) * conv.length**spec.sigma
+    """The stiffness c = hbar^2 / 2m multiplying k^sigma, in spec units.
+
+    In SI this is k_B^(1 - sigma/2) hbar^sigma / 2m: for sigma != 2 its value
+    rests on the kilogram and the kelvin being the base units.
+    """
+    energy, length = _scales(spec)
+    return 1.0 / (2.0 * spec.mass) * energy * length**spec.sigma

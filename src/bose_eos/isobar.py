@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CondensedRegion, ConvergenceError, DomainError
-from .gas import GasSpec, _density_prefactor, as_natural, prefactor_A
+from .gas import GasSpec, _critical_temperature_in_logs, _density_prefactor, _scales, prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
     REGIME_NORMAL,
@@ -60,14 +60,19 @@ def critical_temperature_pressure(spec: GasSpec, P: float) -> float:
     """
     if not P > 0.0:
         raise DomainError(f"pressure must be positive, got P={P!r}")
-    nat, conv = as_natural(spec)
-    P_nat = conv.pressure_in(P)
-    lam0_d = (2.0 * math.pi / nat.mass) ** (nat.d / nat.sigma)
-    bracket = lam0_d * P_nat / (
-        zeta(1.0 + nat.d_over_sigma) * prefactor_A(nat.d, nat.sigma)
-    )
-    tc = bracket ** (nat.sigma / (nat.d + nat.sigma))
-    return conv.temperature_out(tc)
+    energy, length = _scales(spec)
+    P_nat = P * length**spec.d / energy
+    try:
+        lam0_d = (2.0 * math.pi / spec.mass) ** (spec.d / spec.sigma)
+        bracket = lam0_d * P_nat / (
+            zeta(1.0 + spec.d_over_sigma) * prefactor_A(spec.d, spec.sigma)
+        )
+        tc = bracket ** (spec.sigma / (spec.d + spec.sigma))
+    except (OverflowError, DomainError):  # (2 pi)^750 at d = 1500, sigma = 2; or A
+        tc = math.nan
+    if 0.0 < tc < math.inf:
+        return tc
+    return _critical_temperature_in_logs(spec, P, 1)
 
 
 def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
@@ -87,34 +92,32 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
             "state is not modelled",
             T_c=tc,
         )
-    nat, conv = as_natural(spec)
-    T_nat = conv.temperature_in(T)
-    nu = nat.d_over_sigma
-    pref = _density_prefactor(nat, T_nat)
+    energy, length = _scales(spec)
+    nu = spec.d_over_sigma
+    pref = _density_prefactor(spec, T)
 
     if abs(t_P) <= CRITICAL_WINDOW:
         regime, r_nat = REGIME_BOUNDARY, 0.0
-        if nat.d > nat.sigma:
+        if spec.d > spec.sigma:
             rho_nat = pref * zeta(nu)
         else:
             rho_nat = math.inf  # coexistence density diverges for d <= sigma
     else:
         regime = REGIME_NORMAL
-        P_nat = conv.pressure_in(P)
         try:
-            r_nat = solve_bose_equation(nu + 1.0, T_nat * pref, P_nat, T_nat)
+            r_nat = solve_bose_equation(nu + 1.0, T * pref, P * length**spec.d / energy, T)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"isobar gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
                 f"T={T!r}, P={P!r}: {exc}"
             ) from exc
-        rho_nat = pref * bose_g(nu, r_nat / T_nat).value
+        rho_nat = pref * bose_g(nu, r_nat / T).value
 
-    rho = conv.density_out(rho_nat)
+    rho = rho_nat / length**spec.d
     return IsobarPoint(
         T=T,
         P=P,
-        r=conv.energy_out(r_nat),
+        r=r_nat * energy,
         rho=rho,
         v=0.0 if math.isinf(rho) else 1.0 / rho,
         t_P=t_P,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
-from .gas import GasSpec, _density_prefactor, as_natural, prefactor_A
+from .gas import GasSpec, _critical_temperature_in_logs, _density_prefactor, _scales, prefactor_A
 from .rootfind import solve_bose_equation
 from .special import bose_g, zeta
 
@@ -63,11 +63,17 @@ def critical_temperature_density(spec: GasSpec, rho: float) -> float:
         raise ZeroTemperatureBEC(
             f"d = {spec.d:g} <= sigma = {spec.sigma:g}: condensation only at T = 0"
         )
-    nat, conv = as_natural(spec)
-    rho_nat = conv.density_in(rho)
-    bracket = rho_nat / (prefactor_A(nat.d, nat.sigma) * zeta(nat.d_over_sigma))
-    tc = (2.0 * math.pi / nat.mass) * bracket ** (nat.sigma / nat.d)
-    return conv.temperature_out(tc)
+    _, length = _scales(spec)
+    try:
+        bracket = rho * length**spec.d / (
+            prefactor_A(spec.d, spec.sigma) * zeta(spec.d_over_sigma)
+        )
+        tc = (2.0 * math.pi / spec.mass) * bracket ** (spec.sigma / spec.d)
+    except DomainError:  # A(3000, 1) = e^15346; T_c = 0.0377 is ordinary
+        tc = math.nan
+    if 0.0 < tc < math.inf:
+        return tc
+    return _critical_temperature_in_logs(spec, rho, 0)
 
 
 def pressure_at(spec: GasSpec, T: float, r: float) -> float:
@@ -80,11 +86,9 @@ def pressure_at(spec: GasSpec, T: float, r: float) -> float:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     if r < 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
-    nat, conv = as_natural(spec)
-    T_nat = conv.temperature_in(T)
-    r_nat = conv.energy_in(r)
-    g = bose_g(nat.d_over_sigma + 1.0, r_nat / T_nat).value
-    return conv.pressure_out(T_nat * _density_prefactor(nat, T_nat) * g)
+    energy, length = _scales(spec)
+    g = bose_g(spec.d_over_sigma + 1.0, r / energy / T).value
+    return T * _density_prefactor(spec, T) * g * energy / length**spec.d
 
 
 def density_at(spec: GasSpec, T: float, r: float) -> float:
@@ -97,11 +101,9 @@ def density_at(spec: GasSpec, T: float, r: float) -> float:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     if r < 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
-    nat, conv = as_natural(spec)
-    T_nat = conv.temperature_in(T)
-    r_nat = conv.energy_in(r)
-    g = bose_g(nat.d_over_sigma, r_nat / T_nat).value
-    return conv.density_out(_density_prefactor(nat, T_nat) * g)
+    energy, length = _scales(spec)
+    g = bose_g(spec.d_over_sigma, r / energy / T).value
+    return _density_prefactor(spec, T) * g / length**spec.d
 
 
 def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
@@ -115,11 +117,9 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     tc = critical_temperature_density(spec, rho)  # validates rho, d > sigma
     t = (T - tc) / tc
-    nat, conv = as_natural(spec)
-    T_nat = conv.temperature_in(T)
-    rho_nat = conv.density_in(rho)
-    nu = nat.d_over_sigma
-    pref = _density_prefactor(nat, T_nat)
+    energy, length = _scales(spec)
+    nu = spec.d_over_sigma
+    pref = _density_prefactor(spec, T)
 
     if abs(t) <= CRITICAL_WINDOW:
         regime, r_nat, psi2 = REGIME_CRITICAL, 0.0, 0.0
@@ -131,17 +131,15 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
         regime = REGIME_NORMAL
         psi2 = 0.0
         try:
-            r_nat = solve_bose_equation(nu, pref, rho_nat, T_nat)
+            r_nat = solve_bose_equation(nu, pref, rho * length**spec.d, T)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
                 f"T={T!r}, rho={rho!r}: {exc}"
             ) from exc
 
-    P = conv.pressure_out(T_nat * pref * bose_g(nu + 1.0, r_nat / T_nat).value)
-    return ThermoPoint(
-        T=T, t=t, r=conv.energy_out(r_nat), psi2=psi2, rho=rho, P=P, regime=regime
-    )
+    P = T * pref * bose_g(nu + 1.0, r_nat / T).value * energy / length**spec.d
+    return ThermoPoint(T=T, t=t, r=r_nat * energy, psi2=psi2, rho=rho, P=P, regime=regime)
 
 
 def grand_potential(
@@ -170,16 +168,15 @@ def grand_potential(
         raise DomainError(f"particle count must be positive, got {n_particles!r}")
     if h != 0.0 and r == 0.0:
         raise PoleError("the source-field term has a 1/r pole; need r > 0 when h != 0")
-    nat, conv = as_natural(spec)
-    T_nat = conv.temperature_in(T)
-    r_nat = conv.energy_in(r)
-    h_nat = conv.energy_in(h)
-    inv_vol_nat = conv.density_in(1.0 / volume)  # 1/V transforms like a density
-    g = bose_g(nat.d_over_sigma + 1.0, r_nat / T_nat).value
-    omega = -T_nat / inv_vol_nat * _density_prefactor(nat, T_nat) * g
+    energy, length = _scales(spec)
+    r_nat = r / energy
+    h_nat = h / energy
+    inv_vol_nat = 1.0 / volume * length**spec.d  # 1/V transforms like a density
+    g = bose_g(spec.d_over_sigma + 1.0, r_nat / T).value
+    omega = -T / inv_vol_nat * _density_prefactor(spec, T) * g
     if h_nat != 0.0:
         omega -= h_nat * h_nat / (n_particles * r_nat)
-    return conv.energy_out(omega)
+    return omega * energy
 
 
 def condensate_fraction(spec: GasSpec, T: float, rho: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConvergenceError, DivergentValue, DomainError
-from .gas import GasSpec, as_natural
+from .gas import GasSpec, _scales
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,15 +77,15 @@ def _occupations(s_values: np.ndarray, eps_scale: float, sigma: float, r: float,
         return 1.0 / np.expm1(x)
 
 
-def _box_sum(nat: GasSpec, L: float, T: float, r: float, n_max: int) -> float:
+def _box_sum(spec: GasSpec, L: float, T: float, r: float, n_max: int) -> float:
     """Total occupation over the mode cube [-n_max, n_max]^d, natural units."""
     import numpy as np
 
-    d = int(nat.d)
+    d = int(spec.d)
     counts = _mode_multiplicities(d, n_max)
     s = np.arange(counts.size, dtype=float)
-    eps_scale = (2.0 * math.pi / L) ** nat.sigma / (2.0 * nat.mass)
-    occ = _occupations(s, eps_scale, nat.sigma, r, T)
+    eps_scale = (2.0 * math.pi / L) ** spec.sigma / (2.0 * spec.mass)
+    occ = _occupations(s, eps_scale, spec.sigma, r, T)
     # Fixed ascending-s order and exact accumulation: byte-reproducible.
     return math.fsum((counts * occ).tolist())
 
@@ -98,15 +98,14 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
     Converges to the thermodynamic-limit density as L grows, which is the
     cross-check this oracle exists for.
     """
-    nat, conv = as_natural(spec)
     if int(spec.d) != spec.d or not (1 <= int(spec.d) <= 3):
         raise DomainError(f"discrete sum needs integer d in 1..3, got d={spec.d!r}")
     if box.d != int(spec.d):
         raise DomainError(f"box dimension {box.d} does not match spec d={spec.d:g}")
-    T_nat = conv.temperature_in(T)
-    mu_nat = conv.energy_in(mu)
-    L_nat = conv.length_in(box.L)
-    if T_nat <= 0.0:
+    energy, length = _scales(spec)
+    mu_nat = mu / energy
+    L_nat = box.L / length
+    if T <= 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     if mu_nat >= 0.0:
         raise DomainError(
@@ -116,9 +115,9 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
     r_nat = -mu_nat
 
     if box.n_max is not None:
-        total = _box_sum(nat, L_nat, T_nat, r_nat, box.n_max)
+        total = _box_sum(spec, L_nat, T, r_nat, box.n_max)
         if box.n_max > 1:
-            shell = total - _box_sum(nat, L_nat, T_nat, r_nat, box.n_max - 1)
+            shell = total - _box_sum(spec, L_nat, T, r_nat, box.n_max - 1)
         else:
             shell = total
         if shell > _TAIL_RTOL * total:
@@ -132,21 +131,21 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
         # energies increase monotonically and occupations decay at least
         # exponentially in energy, so the accepted band bounds the tail.
         n_used = 8
-        total = _box_sum(nat, L_nat, T_nat, r_nat, n_used)
+        total = _box_sum(spec, L_nat, T, r_nat, n_used)
         while True:
             if 2 * n_used > _N_MAX_CAP:
                 raise ConvergenceError(
                     f"mode sum not converged at the cutoff cap n_max={_N_MAX_CAP}; "
                     "box too large or temperature too high for the discrete oracle"
                 )
-            wider = _box_sum(nat, L_nat, T_nat, r_nat, 2 * n_used)
+            wider = _box_sum(spec, L_nat, T, r_nat, 2 * n_used)
             n_used *= 2
             if wider - total <= 0.1 * _TAIL_RTOL * wider:
                 total = wider
                 break
             total = wider
 
-    return conv.density_out(total / L_nat ** int(nat.d))
+    return total / L_nat ** int(spec.d) / length**spec.d
 
 
 # Bernoulli numbers B_2 .. B_20, used by the Euler-Maclaurin continuation.

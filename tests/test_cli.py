@@ -62,6 +62,14 @@ def test_tc_where_gamma_overflows_prints_strict_json():
     assert doc["T_c"] == pytest.approx(2.0 * math.pi, rel=1e-14)  # zeta(200) = 1
 
 
+def test_tc_where_lambda0_power_overflows_prints_strict_json():
+    # (2 pi)^750 leaves the doubles; T_c is taken in log form (mpmath, 40 digits)
+    proc = run_cli("tc", "--d", "1500", "--sigma", "2", "--pressure", "1")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+    assert doc["T_c"] == pytest.approx(6.2678276458253185, rel=1e-12)
+
+
 def test_tc_refuses_a_non_finite_value():
     proc = run_cli("tc", "--d", "3", "--sigma", "2", "--mass", "1e-300", "--density", "1e100")
     assert proc.returncode == 2

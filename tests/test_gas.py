@@ -1,4 +1,4 @@
-"""Model record, prefactors, thermal wavelength, unit conversion."""
+"""Model record, prefactors, thermal wavelength, SI against natural units."""
 
 import math
 
@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from bose_eos import (
+    BoxSpec,
     DomainError,
     GasSpec,
-    as_natural,
     critical_temperature_density,
+    critical_temperature_pressure,
+    density_at,
     dispersion,
     dispersion_coefficient,
+    finite_density,
+    grand_potential,
     lambda0,
+    landau_model,
     prefactor_A,
+    pressure_at,
+    solve_gap_isobar,
+    solve_gap_isochore,
     thermal_wavelength,
 )
 
@@ -103,6 +111,37 @@ def test_prefactor_A_and_tc_where_gamma_overflows(d, sigma):
     assert tc == pytest.approx(float(exact_tc), rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "tc_function, d, sigma, exact",
+    [
+        # A(3000, 1) = e^15346 leaves the doubles
+        (critical_temperature_density, 3000.0, 1.0, 0.037722145377168654),
+        # (2 pi / m)^(d / sigma) = (2 pi)^750 leaves the doubles
+        (critical_temperature_pressure, 1500.0, 2.0, 6.2678276458253185),
+    ],
+)
+def test_tc_in_log_form_where_the_direct_product_leaves_the_doubles(
+    tc_function, d, sigma, exact
+):
+    # exact: the same formula in mpmath at 40 digits, at rho = 1 or P = 1 and m = 1
+    assert tc_function(GasSpec(d=d, sigma=sigma), 1.0) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tc_function, spec, value, message",
+    [
+        (critical_temperature_density, GasSpec(3.0, 2.0, mass=1e-300), 1e100,
+         "T_c = inf is outside the double range (d=3, sigma=2, rho=1e+100)"),
+        (critical_temperature_pressure, GasSpec(3.0, 2.0, mass=1e300, units="si"), 5e-324,
+         "T_c = 0.0 is outside the double range (d=3, sigma=2, P=5e-324)"),
+    ],
+)
+def test_tc_outside_the_doubles_is_a_domain_error(tc_function, spec, value, message):
+    with pytest.raises(DomainError) as info:
+        tc_function(spec, value)
+    assert str(info.value) == message
+
+
 def test_prefactor_A_beyond_double_range_is_a_domain_error():
     with pytest.raises(DomainError, match="double range"):
         prefactor_A(3000.0, 1.0)
@@ -130,25 +169,69 @@ def test_dispersion_monotone_and_domain():
         dispersion(spec, -1.0)
 
 
-def test_si_spec_converts_to_natural_mass():
-    spec = GasSpec(d=3.0, sigma=2.0, mass=2.0, units="si")
-    nat, conv = as_natural(spec)
-    assert nat.units == "natural"
-    assert nat.mass == pytest.approx(2.0)  # natural mass unit is the kilogram
-    assert conv.temperature_in(3.0) == pytest.approx(3.0)  # kelvin kept as base
+# SI keeps the kilogram and the kelvin as base units, so an SI result is the
+# natural one at the same mass and T times E0^a L0^b, with E0 = k_B * 1 K and
+# L0 = hbar / sqrt(k_B * 1 K * 1 kg). D, SIGMA lie in sigma < d < 2 sigma (the
+# Landau window) with an integer d (the box oracle) and sigma != 2.
+E0 = 1.380649e-23
+L0 = 1.054571817e-34 / math.sqrt(E0)
+D, SIGMA, MASS, T, RHO, PRESS = 2.0, 1.5, 1.7, 1.0, 0.8, 0.6
+
+# name -> (outputs for energy unit e and length unit l, (a, b) per output)
+UNIT_CASES = {
+    "thermal_wavelength": (lambda s, e, l: [thermal_wavelength(s, T)], [(0, 1)]),
+    "lambda0": (lambda s, e, l: [lambda0(s)], [(0, 1)]),
+    "dispersion": (lambda s, e, l: [dispersion(s, 0.8 / l)], [(1, 0)]),
+    "dispersion_coefficient": (lambda s, e, l: [dispersion_coefficient(s)], [(1, SIGMA)]),
+    "critical_temperature_density": (
+        lambda s, e, l: [critical_temperature_density(s, RHO / l**D)],
+        [(0, 0)],
+    ),
+    "critical_temperature_pressure": (
+        lambda s, e, l: [critical_temperature_pressure(s, PRESS * e / l**D)],
+        [(0, 0)],
+    ),
+    "pressure_at": (lambda s, e, l: [pressure_at(s, T, 0.3 * e)], [(1, -D)]),
+    "density_at": (lambda s, e, l: [density_at(s, T, 0.3 * e)], [(0, -D)]),
+    "grand_potential": (
+        lambda s, e, l: [
+            grand_potential(s, T, 0.3 * e, h=0.2 * e, n_particles=2.0, volume=1.5 * l**D)
+        ],
+        [(1, 0)],
+    ),
+    "solve_gap_isochore": (
+        lambda s, e, l: (lambda p: [p.r, p.P, p.t])(solve_gap_isochore(s, T, RHO / l**D)),
+        [(1, 0), (1, -D), (0, 0)],
+    ),
+    "solve_gap_isobar": (
+        lambda s, e, l: (lambda p: [p.r, p.rho, p.v, p.t_P])(
+            solve_gap_isobar(s, T, PRESS * e / l**D)
+        ),
+        [(1, 0), (0, -D), (0, D), (0, 0)],
+    ),
+    "landau_model": (
+        lambda s, e, l: (lambda m: [m.C_f, m.thermal_energy, m.T_c])(
+            landau_model(s, RHO / l**D, 0.01)
+        ),
+        [(1, -D), (1, 0), (0, 0)],
+    ),
+    "finite_density": (
+        lambda s, e, l: [finite_density(s, BoxSpec(L=3.0 * l, d=int(D)), T, -0.4 * e)],
+        [(0, -D)],
+    ),
+}
 
 
-def test_unit_roundtrip_identity():
-    spec = GasSpec(d=3.0, sigma=2.0, mass=1e-26, units="si")
-    _, conv = as_natural(spec)
-    for value in (1e-7, 1.0, 3.7e4):
-        assert conv.temperature_out(conv.temperature_in(value)) == pytest.approx(
-            value, rel=1e-12
-        )
-        assert conv.energy_out(conv.energy_in(value)) == pytest.approx(value, rel=1e-12)
-        assert conv.density_out(conv.density_in(value)) == pytest.approx(value, rel=1e-12)
-        assert conv.pressure_out(conv.pressure_in(value)) == pytest.approx(value, rel=1e-12)
-        assert conv.length_out(conv.length_in(value)) == pytest.approx(value, rel=1e-12)
+@pytest.mark.parametrize("name", sorted(UNIT_CASES))
+def test_si_is_natural_times_energy_and_length_scales(name):
+    outputs, powers = UNIT_CASES[name]
+    natural = outputs(GasSpec(D, SIGMA, MASS), 1.0, 1.0)
+    si = outputs(GasSpec(D, SIGMA, MASS, units="si"), E0, L0)
+    assert len(natural) == len(powers)
+    for nat_value, si_value, (a, b) in zip(natural, si, powers):
+        assert nat_value != 0.0
+        # abs=0: pytest's default abs=1e-12 would pass any SI value this small
+        assert si_value == pytest.approx(nat_value * E0**a * L0**b, rel=1e-13, abs=0.0)
 
 
 def test_dispersion_coefficient_natural():
@@ -163,4 +246,4 @@ def test_dispersion_si_matches_direct_formula():
     mass = 6.6e-27
     spec = GasSpec(d=3.0, sigma=2.0, mass=mass, units="si")
     k = 1e9
-    assert dispersion(spec, k) == pytest.approx(hbar**2 * k**2 / (2 * mass), rel=1e-10)
+    assert dispersion(spec, k) == pytest.approx(hbar**2 * k**2 / (2 * mass), rel=1e-10, abs=0.0)

@@ -199,7 +199,7 @@ def test_solver_matches_between_unit_systems():
     T = 2.0  # kelvin and natural coincide (the kelvin is the base unit)
     pt_nat = solve_gap_isochore(spec_nat, T, rho_nat)
     pt_si = solve_gap_isochore(spec_si, T, rho_si)
-    assert pt_si.r == pytest.approx(pt_nat.r * kb, rel=1e-10)
+    assert pt_si.r == pytest.approx(pt_nat.r * kb, rel=1e-10, abs=0.0)
     assert pt_si.t == pytest.approx(pt_nat.t, rel=1e-10)
     assert pt_si.P == pytest.approx(pt_nat.P * kb / length0**3, rel=1e-10)
 
