@@ -30,6 +30,7 @@ _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_MAX = math.log(sys.float_info.max)
+_FLOAT_MIN = sys.float_info.min
 
 NATURAL = "natural"
 SI = "si"
@@ -158,9 +159,50 @@ def _log_prefactor_A(d: float, sigma: float) -> float:
 
 
 def _density_prefactor(spec: GasSpec, T: float) -> float:
-    """lambda_T^-d * A(d, sigma) in natural units."""
-    return (spec.mass * T / (2.0 * math.pi)) ** spec.d_over_sigma * prefactor_A(
-        spec.d, spec.sigma
+    """lambda_T^-d * A(d, sigma) in natural units.
+
+    Where it overflows (T = 1e250 at d/sigma = 1.5) it is a DomainError
+    naming d, sigma and T.
+    """
+    try:
+        pref = (spec.mass * T / (2.0 * math.pi)) ** spec.d_over_sigma * prefactor_A(
+            spec.d, spec.sigma
+        )
+    except OverflowError:
+        pref = math.inf
+    if pref < math.inf:
+        return pref
+    raise DomainError(
+        f"lambda_T^-d A = {pref!r} is outside the double range "
+        f"(d={spec.d:g}, sigma={spec.sigma:g}, T={T!r})"
+    )
+
+
+def _all_normal(*values: float) -> bool:
+    """Whether every value is a finite double at or above sys.float_info.min.
+
+    A subnormal intermediate keeps only a few bits (L0^d at d = 14 in SI),
+    so the T_c formulas take the log form unless this holds.
+    """
+    return all(_FLOAT_MIN <= v < math.inf for v in values)
+
+
+def _natural_constraint(spec: GasSpec, value: float, k: int) -> float:
+    """A density (k = 0) or pressure (k = 1) in natural units: value L0^d / E0^k.
+
+    A subnormal step keeps only a few bits (L0^d at d = 14 in SI, or
+    rho L0^d of a dilute SI gas), so one is a DomainError; the solvers add
+    d, sigma, T and the constraint to its message.
+    """
+    energy, length = _scales(spec)
+    length_d = length**spec.d
+    scaled = value * length_d
+    natural = scaled / energy**k
+    if _all_normal(length_d, scaled, natural):
+        return natural
+    raise DomainError(
+        f"{('rho', 'P')[k]} leaves the normal doubles on its way to natural units "
+        f"(L0^d = {length_d!r}, natural value {natural!r})"
     )
 
 

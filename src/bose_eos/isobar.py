@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CondensedRegion, ConvergenceError, DomainError
-from .gas import GasSpec, _critical_temperature_in_logs, _density_prefactor, _scales, prefactor_A
+from .gas import GasSpec, _all_normal, _critical_temperature_in_logs, _density_prefactor
+from .gas import _natural_constraint, _scales, prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
     REGIME_NORMAL,
@@ -25,7 +26,7 @@ from .isochore import (
     pressure_at,
 )
 from .rootfind import solve_bose_equation
-from .special import bose_g, zeta
+from .special import CLASSICAL_Y, bose_g, zeta
 
 REGIME_BOUNDARY = "condensed_boundary"
 
@@ -60,17 +61,15 @@ def critical_temperature_pressure(spec: GasSpec, P: float) -> float:
     """
     if not P > 0.0:
         raise DomainError(f"pressure must be positive, got P={P!r}")
-    energy, length = _scales(spec)
-    P_nat = P * length**spec.d / energy
     try:
         lam0_d = (2.0 * math.pi / spec.mass) ** (spec.d / spec.sigma)
-        bracket = lam0_d * P_nat / (
+        bracket = lam0_d * _natural_constraint(spec, P, 1) / (
             zeta(1.0 + spec.d_over_sigma) * prefactor_A(spec.d, spec.sigma)
         )
         tc = bracket ** (spec.sigma / (spec.d + spec.sigma))
-    except (OverflowError, DomainError):  # (2 pi)^750 at d = 1500, sigma = 2; or A
-        tc = math.nan
-    if 0.0 < tc < math.inf:
+    except (OverflowError, DomainError):  # (2 pi)^750 at d = 1500, sigma = 2; A; or P L0^d
+        lam0_d = bracket = tc = math.nan
+    if _all_normal(lam0_d, bracket, tc):
         return tc
     return _critical_temperature_in_logs(spec, P, 1)
 
@@ -94,32 +93,32 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
         )
     energy, length = _scales(spec)
     nu = spec.d_over_sigma
-    pref = _density_prefactor(spec, T)
+    boundary = abs(t_P) <= CRITICAL_WINDOW
+    try:
+        pref = _density_prefactor(spec, T)
+        r_nat = 0.0 if boundary else solve_bose_equation(
+            nu + 1.0, T * pref, _natural_constraint(spec, P, 1), T
+        )
+    except (ConvergenceError, DomainError) as exc:
+        raise type(exc)(
+            f"isobar gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
+            f"T={T!r}, P={P!r}: {exc}"
+        ) from exc
 
-    if abs(t_P) <= CRITICAL_WINDOW:
-        regime, r_nat = REGIME_BOUNDARY, 0.0
-        if spec.d > spec.sigma:
-            rho_nat = pref * zeta(nu)
-        else:
-            rho_nat = math.inf  # coexistence density diverges for d <= sigma
+    if boundary:
+        regime = REGIME_BOUNDARY
+        # the coexistence density diverges for d <= sigma
+        rho = pref * zeta(nu) / length**spec.d if spec.d > spec.sigma else math.inf
+    elif r_nat / T >= CLASSICAL_Y:  # g_nu = g_(nu+1) to double precision: rho = P / k_B T
+        regime, rho = REGIME_NORMAL, P / (T * energy)
     else:
-        regime = REGIME_NORMAL
-        try:
-            r_nat = solve_bose_equation(nu + 1.0, T * pref, P * length**spec.d / energy, T)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"isobar gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
-                f"T={T!r}, P={P!r}: {exc}"
-            ) from exc
-        rho_nat = pref * bose_g(nu, r_nat / T).value
-
-    rho = rho_nat / length**spec.d
+        regime, rho = REGIME_NORMAL, pref * bose_g(nu, r_nat / T).value / length**spec.d
     return IsobarPoint(
         T=T,
         P=P,
         r=r_nat * energy,
         rho=rho,
-        v=0.0 if math.isinf(rho) else 1.0 / rho,
+        v=1.0 / rho if rho else math.inf,  # 0 where rho diverges, inf where it underflows
         t_P=t_P,
         regime=regime,
     )

@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
-from .gas import GasSpec, _critical_temperature_in_logs, _density_prefactor, _scales, prefactor_A
+from .gas import GasSpec, _all_normal, _critical_temperature_in_logs, _density_prefactor
+from .gas import _natural_constraint, _scales, prefactor_A
 from .rootfind import solve_bose_equation
-from .special import bose_g, zeta
+from .special import CLASSICAL_Y, bose_g, zeta
 
 REGIME_NORMAL = "normal"
 REGIME_CONDENSED = "condensed"
@@ -63,15 +64,14 @@ def critical_temperature_density(spec: GasSpec, rho: float) -> float:
         raise ZeroTemperatureBEC(
             f"d = {spec.d:g} <= sigma = {spec.sigma:g}: condensation only at T = 0"
         )
-    _, length = _scales(spec)
     try:
-        bracket = rho * length**spec.d / (
+        bracket = _natural_constraint(spec, rho, 0) / (
             prefactor_A(spec.d, spec.sigma) * zeta(spec.d_over_sigma)
         )
         tc = (2.0 * math.pi / spec.mass) * bracket ** (spec.sigma / spec.d)
-    except DomainError:  # A(3000, 1) = e^15346; T_c = 0.0377 is ordinary
-        tc = math.nan
-    if 0.0 < tc < math.inf:
+    except DomainError:  # A(3000, 1) = e^15346, or a subnormal rho L0^d
+        bracket = tc = math.nan
+    if _all_normal(bracket, tc):
         return tc
     return _critical_temperature_in_logs(spec, rho, 0)
 
@@ -119,26 +119,28 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     t = (T - tc) / tc
     energy, length = _scales(spec)
     nu = spec.d_over_sigma
-    pref = _density_prefactor(spec, T)
-
+    r_nat = psi2 = 0.0
     if abs(t) <= CRITICAL_WINDOW:
-        regime, r_nat, psi2 = REGIME_CRITICAL, 0.0, 0.0
+        regime = REGIME_CRITICAL
     elif t < 0.0:
         regime = REGIME_CONDENSED
-        r_nat = 0.0
         psi2 = -math.expm1(nu * math.log(T / tc))  # 1 - (T/T_c)^(d/sigma)
     else:
         regime = REGIME_NORMAL
-        psi2 = 0.0
-        try:
-            r_nat = solve_bose_equation(nu, pref, rho * length**spec.d, T)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
-                f"T={T!r}, rho={rho!r}: {exc}"
-            ) from exc
+    try:
+        pref = _density_prefactor(spec, T)
+        if regime == REGIME_NORMAL:
+            r_nat = solve_bose_equation(nu, pref, _natural_constraint(spec, rho, 0), T)
+    except (ConvergenceError, DomainError) as exc:
+        raise type(exc)(
+            f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
+            f"T={T!r}, rho={rho!r}: {exc}"
+        ) from exc
 
-    P = T * pref * bose_g(nu + 1.0, r_nat / T).value * energy / length**spec.d
+    if r_nat / T >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
+        P = T * rho * energy
+    else:
+        P = T * pref * bose_g(nu + 1.0, r_nat / T).value * energy / length**spec.d
     return ThermoPoint(T=T, t=t, r=r_nat * energy, psi2=psi2, rho=rho, P=P, regime=regime)
 
 

@@ -1,18 +1,22 @@
 """Bracketed Newton root finding for the monotone gap equations.
 
-Both constraint solvers reduce to the same problem: find r >= 0 with
-``prefactor * g_order(r / T) = target`` where the left side is strictly
-decreasing in r. That guarantees a sign-change bracket exists; Newton steps
-use the exact derivative through the recurrence g_order' = -g_(order-1) and
-fall back to bisection whenever a step leaves the bracket or the derivative
-order makes g_(order-1) blow up near r = 0.
+Both constraint solvers reduce to one problem: find r >= 0 with
+``prefactor * g_order(r / T) = target``, the left side strictly decreasing
+in r. As 0 < e^(-n y) n^(-order) <= e^(-n y) for order >= 0, the bounds
+e^(-y) <= g_order(y) <= 1 / (e^y - 1) put y* = r / T in the closed-form
+bracket [max(0, L), ln(1 + e^L)] with L = ln(prefactor / target). Newton
+steps use the exact derivative g_order' = -g_(order-1) and fall back to
+bisection whenever a step leaves the bracket or the derivative order makes
+g_(order-1) blow up near r = 0.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .special import _bose_any_order, bose_g
 
 # Bisection-only region: for derivative orders <= 1 the Newton slope
@@ -20,8 +24,7 @@ from .special import _bose_any_order, bose_g
 _NEWTON_FLOOR_Y = 1e-6
 
 _MAX_ITER = 400
-_BRACKET_GROW = 4.0
-_BRACKET_CAP_FACTOR = 1e6
+_FLOAT_MIN = sys.float_info.min
 
 
 def find_root_decreasing(
@@ -77,10 +80,14 @@ def solve_bose_equation(
     """Solve ``prefactor * g_order(r / T) = target`` for the gap r > 0.
 
     Assumes the caller has already established that a positive root exists,
-    i.e. prefactor * zeta(order) > target (the system is on the normal side
-    of the transition). The bracket starts at [0, k_B T] and grows
-    geometrically until the residual changes sign.
+    i.e. prefactor * zeta(order) > target (the normal side of the
+    transition), and takes the bracket from the logarithms of prefactor and
+    target, which must be normal doubles (``DomainError`` otherwise). Past
+    y* ~ 37 the bracket is narrower than a double resolves and its lower end
+    is the root, also where g_order(y*) underflows.
     """
+    if not (_FLOAT_MIN <= prefactor < math.inf and _FLOAT_MIN <= target < math.inf):
+        raise DomainError(f"gap equation sides {prefactor!r}, {target!r} are not normal doubles")
     ftol = residual_rtol * target
 
     def residual(r: float) -> float:
@@ -90,19 +97,11 @@ def solve_bose_equation(
         # d/dr [g_order(r/T)] = -g_(order-1)(r/T) / T
         return -prefactor * _bose_any_order(order - 1.0, r / T).value / T
 
-    lo = 0.0
-    hi = T
-    cap = _BRACKET_CAP_FACTOR * T
-    while residual(hi) > 0.0:
-        lo = hi
-        hi *= _BRACKET_GROW
-        if hi > cap:
-            raise ConvergenceError(
-                f"could not bracket the gap below r = {cap:.3e}"
-            )
-
+    log_ratio = math.log(prefactor) - math.log(target)  # L, in logs: the ratio may overflow
+    y_lo = max(log_ratio, 0.0)
+    y_hi = y_lo + math.log1p(math.exp(-abs(log_ratio)))  # ln(1 + e^L)
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
     return find_root_decreasing(
-        residual, residual_slope, lo, hi, ftol=ftol, newton_floor=floor
+        residual, residual_slope, y_lo * T, y_hi * T, ftol=ftol, newton_floor=floor
     )

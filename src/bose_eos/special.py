@@ -48,6 +48,11 @@ _EPS = sys.float_info.epsilon
 # series; both need about 20 (expansion) to 36 (series) terms at the switch.
 SMALL_Y_SWITCH = 1.0
 
+# From this argument on g_nu(y) = e^-y to double precision for every order
+# nu >= 0: the n >= 2 terms add at most e^-y / (1 - e^-y) < eps / 2 of it.
+# There the gas is classical (P = rho k_B T) and g_nu itself may underflow.
+CLASSICAL_Y = 37.0
+
 # Orders closer than this to an integer n >= 1 take the merged form: the
 # expansion's Gamma(1 - nu) and zeta(nu - k) poles cancel to about
 # 3e-16 / |nu - n| of y^(n-1) / (n-1)!, which stays below 3e-13 outside it.

@@ -204,6 +204,18 @@ def test_domain_failures_exit_code_two():
     assert proc.returncode == 2
 
 
+def test_sweep_past_the_double_range_exits_two(capsys):
+    # lambda_T^-d A overflows from T ~ 1e205 on; the first row (T = 1e200) solves
+    code = bose_eos.cli.main(
+        ["sweep", "--d", "3", "--sigma", "2", "--density", "1",
+         "--tmin", "1e200", "--tmax", "1e250", "--points", "3"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: isochore gap solve failed at d=3.0, sigma=2.0, T=5e+249")
+    assert "rho=1.0" in err and "double range" in err
+
+
 def test_verify_quick_passes():
     proc = run_cli("verify", "--level", "quick")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -142,6 +142,24 @@ def test_tc_outside_the_doubles_is_a_domain_error(tc_function, spec, value, mess
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("d", [14.0, 14.2])
+def test_si_tc_where_lambda_scale_power_is_subnormal(d):
+    # L0^d is a subnormal double for 13.9 < d < 14.4 in SI (L0 ~ 2.8e-23 m),
+    # so the direct product keeps only a few bits; the log form keeps them all
+    mpmath = pytest.importorskip("mpmath")
+    spec = GasSpec(d=d, sigma=2.0, mass=1e-26, units="si")
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(d) / 2
+        e0 = mpmath.mpf("1.380649e-23")  # k_B * 1 K, J
+        l0_d = (mpmath.mpf("1.054571817e-34") / mpmath.sqrt(e0)) ** d
+        scale = 2 * mpmath.pi / mpmath.mpf(1e-26)
+        # rho = 1 m^-d and P = 1 Pa; A(d, 2) = 1
+        exact_rho = scale * (l0_d / mpmath.zeta(nu)) ** (1 / nu)
+        exact_p = (scale**nu * l0_d / (e0 * mpmath.zeta(nu + 1))) ** (1 / (nu + 1))
+    assert critical_temperature_density(spec, 1.0) == pytest.approx(float(exact_rho), rel=1e-12, abs=0.0)
+    assert critical_temperature_pressure(spec, 1.0) == pytest.approx(float(exact_p), rel=1e-12, abs=0.0)
+
+
 def test_prefactor_A_beyond_double_range_is_a_domain_error():
     with pytest.raises(DomainError, match="double range"):
         prefactor_A(3000.0, 1.0)

@@ -226,3 +226,23 @@ def test_convergence_error_names_the_failed_solve(monkeypatch):
     message = str(info.value)
     for part in ("d=3.0", "sigma=2.0", f"T={2.0 * tc!r}", "rho=1.0", "root finder"):
         assert part in message
+
+
+def test_prefactor_overflow_is_a_domain_error_naming_the_state():
+    # lambda_T^-d A = (T / 2 pi)^1.5 leaves the doubles near T = 1e205
+    with pytest.raises(DomainError) as info:
+        solve_gap_isochore(SPEC32, 1e250, 1.0)
+    message = str(info.value)
+    for part in ("d=3.0", "sigma=2.0", "T=1e+250", "rho=1.0", "double range"):
+        assert part in message
+
+
+def test_subnormal_natural_density_is_a_domain_error_naming_the_state():
+    # rho L0^d is subnormal: the solve would work on a density with a few bits
+    spec = GasSpec(d=3.0, sigma=2.0, mass=1e-26, units="si")
+    rho = 1e-250  # m^-3; L0^3 ~ 2.3e-68
+    tc = critical_temperature_density(spec, rho)
+    with pytest.raises(DomainError) as info:
+        solve_gap_isochore(spec, 2.0 * tc, rho)
+    for part in ("d=3.0", "sigma=2.0", "rho=1e-250", "normal doubles"):
+        assert part in str(info.value)

@@ -1,0 +1,140 @@
+"""The gap root finder: its closed-form bracket, its cost and its reach.
+
+``solve_bose_equation`` brackets the root y* = r / T of
+prefactor * g_nu(y) = target with the bounds e^-y <= g_nu(y) <= 1 / (e^y - 1)
+instead of searching for a sign change. These checks hold the bounds against
+the Bose function, every returned root to that bracket and to its
+constraint, the Bose evaluations a solve spends, and roots past y = 708,
+where g_nu(y) leaves the normal doubles.
+"""
+
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bose_eos.rootfind
+from bose_eos import (
+    DomainError,
+    GasSpec,
+    bose_g,
+    critical_temperature_density,
+    critical_temperature_pressure,
+    solve_gap_isobar,
+    solve_gap_isochore,
+)
+from bose_eos.rootfind import solve_bose_equation
+
+EPS = sys.float_info.epsilon
+ORDERS = st.floats(min_value=1.0, max_value=8.0, exclude_min=True)
+
+
+def decades(lo: float, hi: float):
+    """Log-uniform floats in [10^lo, 10^hi]."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+def log_form_bracket(prefactor: float, target: float) -> tuple[float, float]:
+    """max(0, L) <= y* <= ln(1 + e^L) with L = ln(prefactor / target)."""
+    log_ratio = math.log(prefactor) - math.log(target)
+    lo = max(log_ratio, 0.0)
+    return lo, lo + math.log1p(math.exp(-abs(log_ratio)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nu=ORDERS, y=decades(-8.0, math.log10(700.0)))
+def test_bose_function_lies_between_the_bracket_bounds(nu, y):
+    g = bose_g(nu, y)
+    assert math.exp(-y) - g.est_error <= g.value <= 1.0 / math.expm1(y) + g.est_error
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    nu=ORDERS,
+    y_true=decades(-6.0, math.log10(650.0)),
+    prefactor=decades(0.0, 100.0),
+    T=decades(-5.0, 5.0),
+)
+def test_every_root_lies_in_the_log_form_bracket(nu, y_true, prefactor, T):
+    # y* <= 650 and prefactor >= 1 keep the target a normal double
+    target = prefactor * bose_g(nu, y_true).value
+    y = solve_bose_equation(nu, prefactor, target, T) / T
+    lo, hi = log_form_bracket(prefactor, target)
+    assert lo * (1.0 - 4.0 * EPS) <= y <= hi * (1.0 + 4.0 * EPS)
+    assert abs(prefactor * bose_g(nu, y).value - target) <= 1e-12 * target
+
+
+@pytest.mark.parametrize("prefactor, target", [(math.inf, 1.0), (1.0, 0.0), (1.0, 5e-324)])
+def test_sides_outside_the_normal_doubles_are_a_domain_error(prefactor, target):
+    with pytest.raises(DomainError, match="normal doubles"):
+        solve_bose_equation(1.5, prefactor, target, 1.0)
+
+
+def test_bose_calls_per_solve_far_from_tc(monkeypatch):
+    # Every value and slope evaluation a solve makes goes through these two names.
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(bose_eos.rootfind, "bose_g", counted(bose_eos.rootfind.bose_g))
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_any_order", counted(bose_eos.rootfind._bose_any_order)
+    )
+    per_solve = []
+    for d, sigma in [(3.0, 2.0), (2.5, 1.7), (3.0, 1.5), (3.0, 1.0)]:
+        spec = GasSpec(d=d, sigma=sigma)
+        for ratio in (2.0, 3.0, 4.0):
+            for solve, tc in (
+                (solve_gap_isochore, critical_temperature_density),
+                (solve_gap_isobar, critical_temperature_pressure),
+            ):
+                before = calls[0]
+                assert solve(spec, ratio * tc(spec, 1.0), 1.0).r > 0.0
+                per_solve.append(calls[0] - before)
+    assert len(per_solve) == 24
+    assert sum(per_solve) / len(per_solve) <= 9.0, per_solve
+    assert max(per_solve) <= 14, per_solve
+
+
+def _exact_gap(order: float, log_prefactor, log_target) -> float:
+    """Root y of ln g_order(y) = log_target - log_prefactor, in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        log_ratio = log_prefactor - log_target
+        root = mpmath.findroot(
+            lambda y: mpmath.log(mpmath.polylog(order, mpmath.exp(-y))) + log_ratio,
+            log_ratio,
+        )
+        return float(root)
+
+
+def test_isochore_gap_past_the_underflow_of_g():
+    # lambda_T^-d A / rho ~ e^1380: g_1.5(y*) ~ 1e-599 is no double at all
+    mpmath = pytest.importorskip("mpmath")
+    T, rho = 1e200, 1e-300
+    pt = solve_gap_isochore(GasSpec(d=3.0, sigma=2.0), T, rho)
+    with mpmath.workdps(40):
+        log_pref = 1.5 * (mpmath.log(T) - mpmath.log(2 * mpmath.pi))  # A(3, 2) = m = 1
+        exact = _exact_gap(1.5, log_pref, mpmath.log(rho))
+    assert exact == pytest.approx(1378.7942401968134, rel=1e-15)
+    assert pt.r / T == pytest.approx(exact, rel=1e-13)
+    assert pt.P == pytest.approx(T * rho, rel=1e-15)  # classical: g_2.5 / g_1.5 = 1
+
+
+def test_isobar_gap_past_the_underflow_of_g():
+    mpmath = pytest.importorskip("mpmath")
+    T, P = 1e100, 1e-200
+    pt = solve_gap_isobar(GasSpec(d=3.0, sigma=2.0), T, P)
+    with mpmath.workdps(40):
+        log_pref = mpmath.log(T) + 1.5 * (mpmath.log(T) - mpmath.log(2 * mpmath.pi))
+        exact = _exact_gap(2.5, log_pref, mpmath.log(P))
+    assert exact > 708.0
+    assert pt.r / T == pytest.approx(exact, rel=1e-13)
+    assert pt.rho == pytest.approx(P / T, rel=1e-15)
