@@ -75,7 +75,6 @@ from .special import (
     EvalResult,
     bose_g,
     bose_g_derivative,
-    bose_g_small_y,
     gamma,
     zeta,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "all_passed",
     "bose_g",
     "bose_g_derivative",
-    "bose_g_small_y",
     "chemical_potential_asymptotic",
     "coexistence_consistency",
     "condensate_fraction",

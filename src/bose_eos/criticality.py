@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import BranchError, DomainError, FitError, UnsupportedRegime
-from .gas import GasSpec, _scales, dispersion_coefficient
+from .gas import GasSpec, _natural_constraint, _scales, _spec_constraint, dispersion_coefficient
 from .isochore import critical_temperature_density, solve_gap_isochore
 from .special import gamma, zeta
+from .sweep import geomspace
 
 _EPS = sys.float_info.epsilon
 
@@ -106,11 +107,11 @@ def landau_model(
         )
     nu = spec.d_over_sigma
     tc = critical_temperature_density(spec, rho)
-    energy, length = _scales(spec)
+    energy, _ = _scales(spec)
     mu_coeff = (zeta(nu) / abs(gamma(1.0 - nu))) ** (1.0 / (nu - 1.0))
-    cf_nat = (nu - 1.0) * mu_coeff * tc * (rho * length**spec.d)
+    cf_nat = (nu - 1.0) * mu_coeff * tc * _natural_constraint(spec, rho, 0)
     return LandauModel(
-        C_f=cf_nat * energy / length**spec.d,
+        C_f=_spec_constraint(spec, cf_nat, 1),
         d_over_sigma=nu,
         t=t,
         valid_window=valid_window,
@@ -278,10 +279,8 @@ def extract_exponents(
             f"analytic exponent targets need sigma < d < 2 sigma, "
             f"got d={spec.d:g}, sigma={spec.sigma:g}"
         )
-    import numpy as np  # numpy's geomspace grid, kept bit for bit
-
     tc = critical_temperature_density(spec, rho)
-    ts = np.geomspace(t_window[0], t_window[1], points)
+    ts = geomspace(t_window[0], t_window[1], points)
     rs = [solve_gap_isochore(spec, tc * (1.0 + t), rho).r for t in ts]
     xis = [correlation_quantities(spec, r).xi for r in rs]
 
@@ -289,7 +288,7 @@ def extract_exponents(
     fitted_nu = fit_exponent(list(zip(ts, xis)), "nu_from_xi")
 
     chi = correlation_quantities(spec, 0.0).chi
-    ks = np.geomspace(1e-2, 1.0, 16)
+    ks = geomspace(1e-2, 1.0, 16)
     chi_slope, _ = loglog_slope(ks, [chi(k) for k in ks])
     fitted_eta = 2.0 + chi_slope
 

@@ -190,19 +190,43 @@ def _all_normal(*values: float) -> bool:
 def _natural_constraint(spec: GasSpec, value: float, k: int) -> float:
     """A density (k = 0) or pressure (k = 1) in natural units: value L0^d / E0^k.
 
-    A subnormal step keeps only a few bits (L0^d at d = 14 in SI, or
-    rho L0^d of a dilute SI gas), so one is a DomainError; the solvers add
-    d, sigma, T and the constraint to its message.
+    Where L0^d or value L0^d is subnormal (L0^d ~ 2.8e-23^d in SI from
+    d = 13.7 on) L0^d is applied as two halves with the division by E0^k
+    between them, so no step keeps only a few bits. A value that still
+    leaves the normal doubles is a DomainError; the solvers add d, sigma, T
+    and the constraint to its message.
     """
     energy, length = _scales(spec)
-    length_d = length**spec.d
-    scaled = value * length_d
-    natural = scaled / energy**k
-    if _all_normal(length_d, scaled, natural):
+    step = length**spec.d
+    natural = value * step / energy**k
+    if not _all_normal(step, value * step):
+        step = length ** (0.5 * spec.d)
+        natural = value * step / energy**k * step
+    if _all_normal(step, value * step, natural):
         return natural
     raise DomainError(
         f"{('rho', 'P')[k]} leaves the normal doubles on its way to natural units "
-        f"(L0^d = {length_d!r}, natural value {natural!r})"
+        f"(L0^d or its square root = {step!r}, natural value {natural!r})"
+    )
+
+
+def _spec_constraint(spec: GasSpec, natural: float, k: int) -> float:
+    """The inverse of _natural_constraint: natural E0^k / L0^d in spec units.
+
+    Takes a natural density (k = 0) or pressure (k = 1), or any quantity
+    per natural volume with E0^k its energy factor. Where L0^d is subnormal
+    it is divided out in two halves, as _natural_constraint applies it.
+    """
+    energy, length = _scales(spec)
+    length_d = length**spec.d
+    if _all_normal(length_d):
+        return natural * energy**k / length_d
+    half = length ** (0.5 * spec.d)
+    if _all_normal(half):
+        return natural / half * energy**k / half
+    raise DomainError(
+        f"L0^(d/2) = {half!r} leaves the normal doubles (d={spec.d:g}, sigma={spec.sigma:g}): "
+        "the natural value has no spec-unit counterpart in the doubles"
     )
 
 

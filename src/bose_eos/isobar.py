@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import CondensedRegion, ConvergenceError, DomainError
 from .gas import GasSpec, _all_normal, _critical_temperature_in_logs, _density_prefactor
-from .gas import _natural_constraint, _scales, prefactor_A
+from .gas import _natural_constraint, _scales, _spec_constraint, prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
     REGIME_NORMAL,
@@ -91,7 +91,7 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
             "state is not modelled",
             T_c=tc,
         )
-    energy, length = _scales(spec)
+    energy, _ = _scales(spec)
     nu = spec.d_over_sigma
     boundary = abs(t_P) <= CRITICAL_WINDOW
     try:
@@ -108,11 +108,11 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
     if boundary:
         regime = REGIME_BOUNDARY
         # the coexistence density diverges for d <= sigma
-        rho = pref * zeta(nu) / length**spec.d if spec.d > spec.sigma else math.inf
+        rho = _spec_constraint(spec, pref * zeta(nu), 0) if spec.d > spec.sigma else math.inf
     elif r_nat / T >= CLASSICAL_Y:  # g_nu = g_(nu+1) to double precision: rho = P / k_B T
         regime, rho = REGIME_NORMAL, P / (T * energy)
     else:
-        regime, rho = REGIME_NORMAL, pref * bose_g(nu, r_nat / T).value / length**spec.d
+        regime, rho = REGIME_NORMAL, _spec_constraint(spec, pref * bose_g(nu, r_nat / T).value, 0)
     return IsobarPoint(
         T=T,
         P=P,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
 from .gas import GasSpec, _all_normal, _critical_temperature_in_logs, _density_prefactor
-from .gas import _natural_constraint, _scales, prefactor_A
+from .gas import _natural_constraint, _scales, _spec_constraint, prefactor_A
 from .rootfind import solve_bose_equation
 from .special import CLASSICAL_Y, bose_g, zeta
 
@@ -86,9 +86,9 @@ def pressure_at(spec: GasSpec, T: float, r: float) -> float:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     if r < 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
-    energy, length = _scales(spec)
+    energy, _ = _scales(spec)
     g = bose_g(spec.d_over_sigma + 1.0, r / energy / T).value
-    return T * _density_prefactor(spec, T) * g * energy / length**spec.d
+    return _spec_constraint(spec, T * _density_prefactor(spec, T) * g, 1)
 
 
 def density_at(spec: GasSpec, T: float, r: float) -> float:
@@ -101,9 +101,9 @@ def density_at(spec: GasSpec, T: float, r: float) -> float:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     if r < 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
-    energy, length = _scales(spec)
+    energy, _ = _scales(spec)
     g = bose_g(spec.d_over_sigma, r / energy / T).value
-    return _density_prefactor(spec, T) * g / length**spec.d
+    return _spec_constraint(spec, _density_prefactor(spec, T) * g, 0)
 
 
 def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
@@ -117,7 +117,7 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     tc = critical_temperature_density(spec, rho)  # validates rho, d > sigma
     t = (T - tc) / tc
-    energy, length = _scales(spec)
+    energy, _ = _scales(spec)
     nu = spec.d_over_sigma
     r_nat = psi2 = 0.0
     if abs(t) <= CRITICAL_WINDOW:
@@ -140,7 +140,7 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     if r_nat / T >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
         P = T * rho * energy
     else:
-        P = T * pref * bose_g(nu + 1.0, r_nat / T).value * energy / length**spec.d
+        P = _spec_constraint(spec, T * pref * bose_g(nu + 1.0, r_nat / T).value, 1)
     return ThermoPoint(T=T, t=t, r=r_nat * energy, psi2=psi2, rho=rho, P=P, regime=regime)
 
 
@@ -170,10 +170,10 @@ def grand_potential(
         raise DomainError(f"particle count must be positive, got {n_particles!r}")
     if h != 0.0 and r == 0.0:
         raise PoleError("the source-field term has a 1/r pole; need r > 0 when h != 0")
-    energy, length = _scales(spec)
+    energy, _ = _scales(spec)
     r_nat = r / energy
     h_nat = h / energy
-    inv_vol_nat = 1.0 / volume * length**spec.d  # 1/V transforms like a density
+    inv_vol_nat = _natural_constraint(spec, 1.0 / volume, 0)  # 1/V transforms like a density
     g = bose_g(spec.d_over_sigma + 1.0, r_nat / T).value
     omega = -T / inv_vol_nat * _density_prefactor(spec, T) * g
     if h_nat != 0.0:

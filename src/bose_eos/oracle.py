@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConvergenceError, DivergentValue, DomainError
-from .gas import GasSpec, _scales
+from .gas import GasSpec, _scales, _spec_constraint
 
 if TYPE_CHECKING:
     import numpy as np
@@ -145,7 +145,7 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
                 break
             total = wider
 
-    return total / L_nat ** int(spec.d) / length**spec.d
+    return _spec_constraint(spec, total / L_nat ** int(spec.d), 0)
 
 
 # Bernoulli numbers B_2 .. B_20, used by the Euler-Maclaurin continuation.

@@ -58,19 +58,9 @@ CLASSICAL_Y = 37.0
 # 3e-16 / |nu - n| of y^(n-1) / (n-1)!, which stays below 3e-13 outside it.
 _MERGE_TOL = 1e-3
 
-# bose_g_small_y rejects orders this close to an integer: its truncated
-# view of the expansion has no logarithmic form.
-_INTEGER_TOL = 1e-6
-
 # Expansion coefficients cached per order; terms fall by y / 2 pi < 0.16
 # per step below the switch, so the sum stops before this.
 _KMAX_ADAPTIVE = 40
-
-# Largest truncation bose_g_small_y accepts: its coefficients run to
-# k_max + 1, and 1/k! is a normal double only through k = 170. Beyond that
-# the coefficients lose precision, then vanish, then zeta(nu - k) overflows
-# and the sum turns into nan.
-_KMAX_LIMIT = 169
 
 # Stieltjes constants gamma_0 .. gamma_5, zeta(1 + eps) - 1/eps =
 # sum_j (-1)^j gamma_j eps^j / j!; mpmath.stieltjes(j) at 40 digits, rounded.
@@ -233,11 +223,11 @@ def _bose_series(nu: float, y: float) -> EvalResult:
 
 
 @functools.lru_cache(maxsize=512)
-def _expansion_constants(nu: float, count: int, merge: bool) -> tuple:
+def _expansion_constants(nu: float) -> tuple:
     """Per-order constants of the small-y expansion: (coeffs, lead, pair).
 
-    coeffs[k] = zeta(nu - k) / k! for k < count and lead = Gamma(1 - nu),
-    unless ``merge`` is set and nu = n + eps with n >= 1 and
+    coeffs[k] = zeta(nu - k) / k! for k < _KMAX_ADAPTIVE and
+    lead = Gamma(1 - nu), unless nu = n + eps with n >= 1 and
     |eps| < _MERGE_TOL. Then lead and coefficient k = m = n - 1 both have a
     pole at eps = 0; writing the lead as -(-y)^m / m! exp(x) / eps with
 
@@ -253,7 +243,7 @@ def _expansion_constants(nu: float, count: int, merge: bool) -> tuple:
     """
     n = round(nu)
     lead, pair, m = None, None, -1
-    if merge and n >= 1 and abs(nu - n) < _MERGE_TOL:
+    if n >= 1 and abs(nu - n) < _MERGE_TOL:
         m, eps = n - 1, nu - n
         scale = (-1.0) ** m / math.factorial(m) if m <= 170 else 0.0  # 1/m! underflows past 170
         js = range(1, n) if scale else ()
@@ -269,25 +259,22 @@ def _expansion_constants(nu: float, count: int, merge: bool) -> tuple:
         lead = gamma(1.0 - nu)
     coeffs = []
     inv_fact = 1.0
-    for k in range(count):
+    for k in range(_KMAX_ADAPTIVE):
         coeffs.append(0.0 if k == m else zeta(nu - k) * inv_fact)
         inv_fact /= k + 1
     return tuple(coeffs), lead, pair
 
 
-def _bose_expansion(nu: float, y: float, k_max: int | None = None) -> EvalResult:
+def _bose_expansion(nu: float, y: float) -> EvalResult:
     """Small-argument expansion around y = 0, 0 < y < 2 pi.
 
-    With ``k_max`` exactly the Gamma lead and the k = 0 .. k_max powers are
-    summed, unmerged, and the first omitted term is the truncation estimate.
-    Without it the sum stops once two consecutive terms are below round-off
-    (one of them may sit on a trivial zero of zeta); later terms shrink by
-    y / 2 pi per step, so those two bound the rest. The round-off allowance
-    scales with the largest intermediate: the lead and the zeta sum cancel
-    when nu sits near an integer.
+    The sum stops once two consecutive terms are below round-off (one of
+    them may sit on a trivial zero of zeta); later terms shrink by y / 2 pi
+    per step, so those two bound the rest. The round-off allowance scales
+    with the largest intermediate: the lead and the zeta sum cancel when nu
+    sits near an integer.
     """
-    count = _KMAX_ADAPTIVE if k_max is None else k_max + 2
-    coeffs, lead, pair = _expansion_constants(nu, count, k_max is None)
+    coeffs, lead, pair = _expansion_constants(nu)
     if pair is None:
         total = lead * y ** (nu - 1.0)
         # y^(nu-1) carries the rounding of its exponent, amplified by ln y
@@ -302,17 +289,15 @@ def _bose_expansion(nu: float, y: float, k_max: int | None = None) -> EvalResult
         magnitude = abs(scale) * (abs(zeta_regular) + abs(lead))
     power = 1.0  # (-y)^k
     previous = math.inf
-    for k in range(count if k_max is None else k_max + 1):
-        term = coeffs[k] * power
+    for k, coeff in enumerate(coeffs):
+        term = coeff * power
         total += term
         magnitude = max(magnitude, abs(term))
         power *= -y
         omitted = abs(term) + abs(previous)
-        if k_max is None and omitted < _EPS * abs(total):
+        if omitted < _EPS * abs(total):
             break
         previous = term
-    if k_max is not None:
-        omitted = abs(coeffs[k_max + 1] * power)
     return EvalResult(total, omitted + 4.0 * _EPS * magnitude, k + 1)
 
 
@@ -340,7 +325,7 @@ def bose_g(nu: float, y: float) -> EvalResult:
     Returns
     -------
     EvalResult whose ``est_error`` bounds the absolute error, which is
-    below 1e-12 for every order.
+    below 1e-12 of max(1, g_nu(y)) for every order.
     """
     nu = float(nu)
     y = float(y)
@@ -357,29 +342,6 @@ def bose_g(nu: float, y: float) -> EvalResult:
         value = zeta(nu)
         return EvalResult(value, 4.0 * _EPS * abs(value), 0)
     return _bose_any_order(nu, y)
-
-
-def bose_g_small_y(nu: float, y: float, k_max: int) -> EvalResult:
-    """Truncated small-argument expansion of g_nu(y), non-integer nu.
-
-    Sums the Gamma(1 - nu) y^(nu-1) lead plus the k = 0 .. k_max powers of y;
-    ``est_error`` is the first omitted term. Integer orders are rejected:
-    their expansion has a logarithmic form, which ``bose_g`` uses
-    internally but this truncated-expansion view does not expose.
-    """
-    nu = float(nu)
-    y = float(y)
-    if nu <= 0.0:
-        raise DomainError(f"order must be positive, got nu={nu:g}")
-    if abs(nu - round(nu)) < _INTEGER_TOL:
-        raise DomainError(
-            f"small-argument expansion needs non-integer order, got nu={nu:g}"
-        )
-    if y <= 0.0:
-        raise DomainError(f"expansion argument must be positive, got y={y:g}")
-    if not 0 <= k_max <= _KMAX_LIMIT:
-        raise DomainError(f"k_max must be in [0, {_KMAX_LIMIT}], got {k_max!r}")
-    return _bose_expansion(nu, y, int(k_max))
 
 
 def bose_g_derivative(nu: float, y: float) -> EvalResult:

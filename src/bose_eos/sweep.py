@@ -2,7 +2,9 @@
 
 Rows are solved one after another in grid order, ascending in temperature,
 and floats are formatted with 17 significant digits, so identical requests
-produce byte-identical output.
+produce byte-identical output. The grids are built in plain floats by
+``linspace`` and ``geomspace``, numpy's formulas without numpy's
+CPU-dependent SIMD rounding, so the bytes do not depend on the host either.
 """
 
 from __future__ import annotations
@@ -97,20 +99,28 @@ def _json_cell(value):
     return value
 
 
-def temperature_grid(request: SweepRequest) -> list[float]:
-    """The sweep's temperature values, ascending.
-
-    Bit for bit numpy's linspace and geomspace. Linear grids are built the
-    way linspace builds them, so they need no numpy; a plain-Python
-    geomspace would differ in the last digit of many cells.
-    """
-    start, stop, points = request.T_min, request.T_max, request.points
-    if request.spacing == "log":
-        import numpy as np
-
-        return np.geomspace(start, stop, points).tolist()
+def linspace(start: float, stop: float, points: int) -> list[float]:
+    """numpy.linspace(start, stop, points) bit for bit, for points >= 2."""
     step = (stop - start) / (points - 1)
     return [i * step + start for i in range(points - 1)] + [stop]
+
+
+def geomspace(start: float, stop: float, points: int) -> list[float]:
+    """Log-uniform grid from start to stop > 0, points >= 2, ends pinned.
+
+    numpy.geomspace's formula (log10 of the ends, linspace in the exponent,
+    10 ** e) in plain floats. It equals numpy's baseline path bit for bit;
+    numpy's SIMD paths round some cells differently, so numpy's grids depend
+    on the CPU and these do not.
+    """
+    exponents = linspace(math.log10(start), math.log10(stop), points)
+    return [start] + [10.0**e for e in exponents[1:-1]] + [stop]
+
+
+def temperature_grid(request: SweepRequest) -> list[float]:
+    """The sweep's temperature values, ascending."""
+    spaced = geomspace if request.spacing == "log" else linspace
+    return spaced(request.T_min, request.T_max, request.points)
 
 
 def _isochore_row(spec: GasSpec, T: float, rho: float) -> dict:

@@ -39,6 +39,7 @@ from .oracle import (
     zeta_dirichlet,
 )
 from .special import bose_g, zeta
+from .sweep import geomspace, linspace
 
 LEVELS = ("quick", "full")
 
@@ -106,9 +107,7 @@ class SharedWork:
     @cached_property
     def tricritical_powers(self) -> list[tuple[float, float]]:
         """(fitted, predicted) powers of t in the Psi^2 and Psi^4 coefficients."""
-        import numpy as np
-
-        ts = np.geomspace(1e-5, 1e-2, 16).tolist()
+        ts = geomspace(1e-5, 1e-2, 16)
         coeffs = [landau_taylor_coefficients(landau_model(SPEC32, rho=1.0, t=t)) for t in ts]
         d, sigma = SPEC32.d, SPEC32.sigma
         targets = (sigma / (d - sigma), (2.0 * sigma - d) / (d - sigma))
@@ -160,28 +159,24 @@ def _prefactor(_: SharedWork) -> float:
 
 
 def _isochore_roundtrip(_: SharedWork) -> float:
-    import numpy as np
-
     worst = 0.0
     for sigma in (2.0, 1.8, 1.5):
         spec = GasSpec(d=3.0, sigma=sigma)
         tc = critical_temperature_density(spec, 1.0)
-        for T in np.linspace(1.001 * tc, 3.0 * tc, 20):
-            pt = solve_gap_isochore(spec, float(T), 1.0)
-            worst = max(worst, abs(density_at(spec, float(T), pt.r) - 1.0))
+        for T in linspace(1.001 * tc, 3.0 * tc, 20):
+            pt = solve_gap_isochore(spec, T, 1.0)
+            worst = max(worst, abs(density_at(spec, T, pt.r) - 1.0))
     return worst
 
 
 def _condensate(_: SharedWork) -> float:
     """Density residual and the law psi2 = 1 - (T/T_c)^(d/sigma), from 1e-6 T_c to T_c."""
-    import numpy as np
-
     worst = 0.0
     for spec in SPECS:
         tc = critical_temperature_density(spec, 1.0)
         # Two grids whose starts differ by an ulp, plus the T -> 0 end.
-        grid = [1e-6 * tc, *np.linspace(tc / 20.0, tc, 20), *np.linspace(0.05 * tc, tc, 20)]
-        for T in map(float, grid):
+        grid = [1e-6 * tc, *linspace(tc / 20.0, tc, 20), *linspace(0.05 * tc, tc, 20)]
+        for T in grid:
             psi2 = solve_gap_isochore(spec, T, 1.0).psi2
             residual = density_at(spec, T, 0.0) + psi2 - 1.0
             law = psi2 - (1.0 - (T / tc) ** spec.d_over_sigma)
@@ -213,13 +208,11 @@ def _stationarity(_: SharedWork) -> float:
 
 
 def _eta_slope(_: SharedWork) -> float:
-    import numpy as np
-
     worst = 0.0
-    ks = np.geomspace(1e-2, 1.0, 12)
+    ks = geomspace(1e-2, 1.0, 12)
     for d, sigma in ((3.0, 2.0), (3.0, 1.8), (2.0, 1.5)):
         chi = correlation_quantities(GasSpec(d=d, sigma=sigma), 0.0).chi
-        slope, _ = loglog_slope(ks, [chi(float(k)) for k in ks])
+        slope, _ = loglog_slope(ks, [chi(k) for k in ks])
         worst = max(worst, abs(slope + sigma))
     return worst
 

@@ -84,8 +84,10 @@ def test_tc_refuses_a_non_finite_value():
         ["-m", "bose_eos", "landau", "--d", "3", "--sigma", "2", "--density", "1.0", "--t=-0.1,0,0.1"],
         ["-m", "bose_eos", "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
          "--tmin", "0.2", "--tmax", "2.0", "--points", "50"],
+        ["-m", "bose_eos", "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
+         "--tmin", "0.2", "--tmax", "2.0", "--points", "50", "--spacing", "log"],
     ],
-    ids=["import", "tc", "landau", "linear-sweep"],
+    ids=["import", "tc", "landau", "linear-sweep", "log-sweep"],
 )
 def test_start_up_loads_neither_numpy_nor_scipy(argv):
     proc = subprocess.run(

@@ -160,6 +160,39 @@ def test_si_tc_where_lambda_scale_power_is_subnormal(d):
     assert critical_temperature_pressure(spec, 1.0) == pytest.approx(float(exact_p), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("d", [13.0, 14.0, 14.2])
+def test_si_conversions_where_lambda_scale_power_is_subnormal(d):
+    # From d = 13.7 on L0^d is subnormal in SI and is applied in two halves;
+    # the solves run at twice the transition temperature of their constraint
+    mpmath = pytest.importorskip("mpmath")
+    spec = GasSpec(d=d, sigma=2.0, mass=1e-26, units="si")
+    T = 1e-6
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(d) / 2
+        e0 = mpmath.mpf("1.380649e-23")  # k_B * 1 K, J
+        l0_d = (mpmath.mpf("1.054571817e-34") / mpmath.sqrt(e0)) ** d
+
+        def density(T, y):  # lambda_T^-d g_nu(y) in m^-d; A(d, 2) = 1
+            return (mpmath.mpf(1e-26) * T / (2 * mpmath.pi)) ** nu / l0_d * mpmath.polylog(nu, mpmath.exp(-y))
+
+        def pressure(T, y):
+            return T * e0 * (mpmath.mpf(1e-26) * T / (2 * mpmath.pi)) ** nu / l0_d * mpmath.polylog(nu + 1, mpmath.exp(-y))
+
+        P, rho = float(pressure(T / 2, 0)), float(density(T / 2, 0))
+        y_isobar = mpmath.findroot(lambda y: pressure(T, y) / P - 1, 0.5)
+        y_isochore = mpmath.findroot(lambda y: density(T, y) / rho - 1, 0.5)
+        exact = [
+            (pressure_at(spec, T, 0.0), pressure(T, 0)),
+            (density_at(spec, T, 0.0), density(T, 0)),
+            (solve_gap_isobar(spec, T, P).r, y_isobar * T * e0),
+            (solve_gap_isobar(spec, T, P).rho, density(T, y_isobar)),
+            (solve_gap_isochore(spec, T, rho).r, y_isochore * T * e0),
+            (solve_gap_isochore(spec, T, rho).P, pressure(T, y_isochore)),
+        ]
+    for value, ref in exact:
+        assert value == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
 def test_prefactor_A_beyond_double_range_is_a_domain_error():
     with pytest.raises(DomainError, match="double range"):
         prefactor_A(3000.0, 1.0)

@@ -12,12 +12,11 @@ from bose_eos import (
     PoleError,
     bose_g,
     bose_g_derivative,
-    bose_g_small_y,
     gamma,
     series_sum_highprec,
     zeta,
 )
-from bose_eos.special import SMALL_Y_SWITCH
+from bose_eos.special import SMALL_Y_SWITCH, _bose_any_order
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -122,12 +121,6 @@ def test_bose_g_divergent_at_zero(nu):
         bose_g(nu, 0.0)
 
 
-def test_small_y_expansion_matches_series():
-    res = bose_g_small_y(1.5, 1e-4, k_max=2)
-    ref = bose_g(1.5, 1e-4)
-    assert res.value == pytest.approx(ref.value, abs=1e-8)
-
-
 def test_small_y_leading_behavior():
     # g_{3/2}(y) - zeta(3/2) -> Gamma(-1/2) sqrt(y) as y -> 0
     y = 1e-8
@@ -135,31 +128,34 @@ def test_small_y_leading_behavior():
     assert lead == pytest.approx(-2.0 * math.sqrt(math.pi) * math.sqrt(y), rel=1e-3)
 
 
-def test_small_y_rejects_integer_order():
-    with pytest.raises(DomainError):
-        bose_g_small_y(2.0, 0.01, k_max=4)
-    with pytest.raises(DomainError):
-        bose_g_small_y(3.0 - 1e-9, 0.01, k_max=4)
-
-
-def test_small_y_rejects_truncation_past_float_range():
-    # 1/k! leaves the normal doubles past k = 170 and zeta(nu - k)
-    # overflows near k = 260; both used to give silent nan or wrong values
-    assert math.isfinite(bose_g_small_y(0.5, 0.01, k_max=169).est_error)
-    for k_max in (170, 260, 300):
-        with pytest.raises(DomainError, match="169"):
-            bose_g_small_y(0.5, 0.01, k_max=k_max)
-    with pytest.raises(DomainError):
-        bose_g_small_y(0.5, 0.01, k_max=-1)
-
-
 def test_small_y_expansion_consistency_grid():
     # non-integer orders on both sides of 2, small arguments
     for nu in [1.2, 1.5, 1.8, 2.2, 2.5, 2.8]:
         for y in [1e-3, 5e-3, 1e-2, 0.05]:
-            exp = bose_g_small_y(nu, y, k_max=12)
+            res = bose_g(nu, y)
             ref = series_sum_highprec(nu, y)
-            assert abs(exp.value - ref) <= exp.est_error + 1e-12, (nu, y)
+            assert abs(res.value - ref) <= res.est_error + 1e-12, (nu, y)
+
+
+def test_small_y_expansion_against_mpmath():
+    # Non-integer orders, the slope orders in (-1, 0] included, where the
+    # coefficients fall like 1/k! up to k ~ nu before they fall by 2 pi per
+    # step: the a-priori term count must hold there too (nu ~ 6, y ~ 3e-3).
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    cases = [(5.9, 3e-3), (6.013, 3e-3), (6.5, 3e-3), (7.999, 0.5), (-0.999, 0.99)]
+    cases += [(rng.uniform(-1.0, 8.0), 10.0 ** rng.uniform(-10.0, 0.0)) for _ in range(400)]
+    with mpmath.workdps(40):
+        for nu, y in cases:
+            if nu == -1.0 or nu == round(nu):
+                continue
+            res = _bose_any_order(nu, y)
+            ref = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
+            assert abs(res.value - ref) <= res.est_error, (nu, y, res)
+            assert res.terms_used <= 40, (nu, y, res)
+            if nu > 0.0:
+                # g_nu grows like y^(nu - 1) for nu < 1, so the bound is relative there
+                assert res.est_error <= 1e-12 * max(1.0, abs(ref)), (nu, y, res)
 
 
 def test_derivative_recurrence_at_zero():

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from bose_eos import (
@@ -65,9 +67,24 @@ def test_temperature_grids():
     assert logg == pytest.approx([0.01, 0.1, 1.0, 10.0, 100.0], rel=1e-12)
 
 
+# numpy's AVX-512 loops round some geomspace cells differently from its
+# baseline loops, so numpy's grids depend on the CPU; the baseline path is
+# the host-independent reference the plain-float grids are held to.
+NUMPY_BASELINE = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+NUMPY_GRIDS = """
+import json, sys
+import numpy as np
+grids = [(np.linspace if s == "linear" else np.geomspace)(a, b, n).tolist()
+         for a, b, n, s in json.load(sys.stdin)]
+json.dump(grids, sys.stdout)
+"""
+
+
 def test_temperature_grid_is_numpy_bit_for_bit():
+    pytest.importorskip("numpy")
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    cases = []
 
     @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
     @hypothesis.given(
@@ -76,14 +93,26 @@ def test_temperature_grid_is_numpy_bit_for_bit():
         points=st.integers(2, 600),
         spacing=st.sampled_from(["linear", "log"]),
     )
-    def check(T_min, ratio, points, spacing):
+    def collect(T_min, ratio, points, spacing):
         T_max = T_min * ratio
         hypothesis.assume(T_max > T_min)
-        grid = temperature_grid(density_request(T_min=T_min, T_max=T_max, points=points, spacing=spacing))
-        numpy_grid = np.linspace if spacing == "linear" else np.geomspace
-        assert grid == numpy_grid(T_min, T_max, points).tolist()
+        cases.append((T_min, T_max, points, spacing))
 
-    check()
+    collect()
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_GRIDS],
+        input=json.dumps(cases),
+        env={**os.environ, **NUMPY_BASELINE},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads(proc.stdout)
+    assert len(expected) == len(cases) >= 400
+    for (T_min, T_max, points, spacing), numpy_grid in zip(cases, expected):
+        request = density_request(T_min=T_min, T_max=T_max, points=points, spacing=spacing)
+        assert temperature_grid(request) == numpy_grid, (T_min, T_max, points, spacing)
 
 
 def test_isochore_sweep_crosses_transition():
