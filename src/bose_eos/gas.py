@@ -158,15 +158,15 @@ def _log_prefactor_A(d: float, sigma: float) -> float:
     )
 
 
-def _density_prefactor(spec: GasSpec, T: float) -> float:
-    """lambda_T^-d * A(d, sigma) in natural units.
+def _density_prefactor(spec: GasSpec, T: float, a: float | None = None) -> float:
+    """lambda_T^-d * A(d, sigma) in natural units; ``a`` is A if the caller holds it.
 
     Where it overflows (T = 1e250 at d/sigma = 1.5) it is a DomainError
     naming d, sigma and T.
     """
     try:
-        pref = (spec.mass * T / (2.0 * math.pi)) ** spec.d_over_sigma * prefactor_A(
-            spec.d, spec.sigma
+        pref = (spec.mass * T / (2.0 * math.pi)) ** spec.d_over_sigma * (
+            prefactor_A(spec.d, spec.sigma) if a is None else a
         )
     except OverflowError:
         pref = math.inf
@@ -228,6 +228,24 @@ def _spec_constraint(spec: GasSpec, natural: float, k: int) -> float:
         f"L0^(d/2) = {half!r} leaves the normal doubles (d={spec.d:g}, sigma={spec.sigma:g}): "
         "the natural value has no spec-unit counterpart in the doubles"
     )
+
+
+def _constraint_constants(spec: GasSpec, value: float, k: int) -> tuple:
+    """(value in natural units, A(d, sigma)): what a density (k = 0) or
+    pressure (k = 1) fixes for every temperature of a solve.
+
+    Either is None where it leaves the doubles. A solve that needs it then
+    computes it again, which raises the DomainError with the solve's state.
+    """
+    try:
+        natural = _natural_constraint(spec, value, k)
+    except DomainError:
+        natural = None
+    try:
+        a = prefactor_A(spec.d, spec.sigma)
+    except DomainError:
+        a = None
+    return natural, a
 
 
 def _critical_temperature_in_logs(spec: GasSpec, value: float, k: int) -> float:

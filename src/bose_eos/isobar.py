@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CondensedRegion, ConvergenceError, DomainError
-from .gas import GasSpec, _all_normal, _critical_temperature_in_logs, _density_prefactor
-from .gas import _natural_constraint, _scales, _spec_constraint, prefactor_A
+from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
+from .gas import _density_prefactor, _natural_constraint, _scales, _spec_constraint, prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
     REGIME_NORMAL,
@@ -84,21 +84,35 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     tc = critical_temperature_pressure(spec, P)  # validates P
-    t_P = (T - tc) / tc
-    if t_P < -CRITICAL_WINDOW:
+    point = _isobar_state(spec, T, P, tc, *_constraint_constants(spec, P, 1))
+    if point is None:
         raise CondensedRegion(
             f"T = {T:g} is below T_c(P) = {tc:g}; the condensed constant-pressure "
             "state is not modelled",
             T_c=tc,
         )
+    return point
+
+
+def _isobar_state(
+    spec: GasSpec, T: float, P: float, tc: float, target: float | None, a: float | None
+) -> IsobarPoint | None:
+    """solve_gap_isobar at T > 0 from the constants P fixes; None below T_c(P).
+
+    tc is T_c(P); target (P in natural units) and a (A(d, sigma)) come from
+    gas._constraint_constants. Sweeps compute them once for all rows.
+    """
+    t_P = (T - tc) / tc
+    if t_P < -CRITICAL_WINDOW:
+        return None
     energy, _ = _scales(spec)
     nu = spec.d_over_sigma
     boundary = abs(t_P) <= CRITICAL_WINDOW
     try:
-        pref = _density_prefactor(spec, T)
-        r_nat = 0.0 if boundary else solve_bose_equation(
-            nu + 1.0, T * pref, _natural_constraint(spec, P, 1), T
-        )
+        pref = _density_prefactor(spec, T, a)
+        if not boundary and target is None:  # raises P's DomainError, which gets the state below
+            target = _natural_constraint(spec, P, 1)
+        r_nat = 0.0 if boundary else solve_bose_equation(nu + 1.0, T * pref, target, T)
     except (ConvergenceError, DomainError) as exc:
         raise type(exc)(
             f"isobar gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "

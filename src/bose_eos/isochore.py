@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
-from .gas import GasSpec, _all_normal, _critical_temperature_in_logs, _density_prefactor
-from .gas import _natural_constraint, _scales, _spec_constraint, prefactor_A
+from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
+from .gas import _density_prefactor, _natural_constraint, _scales, _spec_constraint, prefactor_A
 from .rootfind import solve_bose_equation
 from .special import CLASSICAL_Y, bose_g, zeta
 
@@ -116,6 +116,17 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
     tc = critical_temperature_density(spec, rho)  # validates rho, d > sigma
+    return _isochore_state(spec, T, rho, tc, *_constraint_constants(spec, rho, 0))
+
+
+def _isochore_state(
+    spec: GasSpec, T: float, rho: float, tc: float, target: float | None, a: float | None
+) -> ThermoPoint:
+    """solve_gap_isochore at T > 0 from the constants rho fixes.
+
+    tc is T_c(rho); target (rho in natural units) and a (A(d, sigma)) come
+    from gas._constraint_constants. Sweeps compute them once for all rows.
+    """
     t = (T - tc) / tc
     energy, _ = _scales(spec)
     nu = spec.d_over_sigma
@@ -128,9 +139,11 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     else:
         regime = REGIME_NORMAL
     try:
-        pref = _density_prefactor(spec, T)
+        pref = _density_prefactor(spec, T, a)
         if regime == REGIME_NORMAL:
-            r_nat = solve_bose_equation(nu, pref, _natural_constraint(spec, rho, 0), T)
+            if target is None:  # raises rho's DomainError, which gets the state below
+                target = _natural_constraint(spec, rho, 0)
+            r_nat = solve_bose_equation(nu, pref, target, T)
     except (ConvergenceError, DomainError) as exc:
         raise type(exc)(
             f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
@@ -173,12 +186,12 @@ def grand_potential(
     energy, _ = _scales(spec)
     r_nat = r / energy
     h_nat = h / energy
-    inv_vol_nat = _natural_constraint(spec, 1.0 / volume, 0)  # 1/V transforms like a density
     g = bose_g(spec.d_over_sigma + 1.0, r_nat / T).value
-    omega = -T / inv_vol_nat * _density_prefactor(spec, T) * g
+    # -V P in spec units: 1/V in natural units may leave the normal doubles
+    omega = -volume * _spec_constraint(spec, T * _density_prefactor(spec, T) * g, 1)
     if h_nat != 0.0:
-        omega -= h_nat * h_nat / (n_particles * r_nat)
-    return omega * energy
+        omega -= h_nat * h_nat / (n_particles * r_nat) * energy
+    return omega
 
 
 def condensate_fraction(spec: GasSpec, T: float, rho: float) -> float:

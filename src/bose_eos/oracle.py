@@ -52,19 +52,24 @@ class BoxSpec:
 def _mode_multiplicities(d: int, n_max: int) -> np.ndarray:
     """Count integer vectors n in [-n_max, n_max]^d by s = |n|^2.
 
-    Returns counts[s] for s = 0 .. d*n_max^2. Built by convolving the
-    per-axis counts, which keeps every entry an exactly representable
-    integer (no rounding), so the summation order downstream is the only
-    thing that matters for reproducibility.
+    Returns counts[s] for s = 0 .. d*n_max^2. Each added axis shifts the
+    counts so far by every square j^2 <= n_max^2 (twice for j > 0, for
+    +-j) and adds them up, n_max + 1 array adds per axis. Every entry
+    stays an exactly representable integer (no rounding), so the
+    summation order downstream is the only thing that matters for
+    reproducibility.
     """
     import numpy as np
 
-    axis = np.zeros(n_max * n_max + 1)
-    axis[0] = 1.0
-    axis[np.arange(1, n_max + 1) ** 2] = 2.0
-    counts = axis
-    for _ in range(d - 1):
-        counts = np.convolve(counts, axis)
+    counts = np.ones(1)
+    for _ in range(d):
+        size = counts.size
+        grown = np.zeros(size + n_max * n_max)
+        grown[:size] = counts
+        twice = 2.0 * counts
+        for j in range(1, n_max + 1):
+            grown[j * j : j * j + size] += twice
+        counts = grown
     return counts
 
 

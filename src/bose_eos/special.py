@@ -10,7 +10,7 @@ nu <= 1 (the signal for zero-temperature condensation).
 Two routes cover every real order, neither needing more than ~40 terms:
 
 * y >= SMALL_Y_SWITCH (= 1): direct summation with a rigorous geometric
-  tail bound;
+  tail bound; the powers n^-nu are cached per order;
 * y < SMALL_Y_SWITCH: the small-argument (Robinson) expansion
 
       g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_{k >= 0} (-y)^k zeta(nu - k) / k!
@@ -28,9 +28,11 @@ accelerated alternating series (P. Borwein, "An efficient algorithm for the
 Riemann zeta function", CMS Conf. Proc. 27, 2000) from just below s = 0
 up and the functional equation further down; Gamma is ``math.gamma``.
 
-Every evaluation returns an :class:`EvalResult` carrying an absolute-error
-estimate (omitted terms plus a float round-off allowance), so callers can
-assert accuracy instead of hoping for it.
+Every evaluation returns an :class:`EvalResult`, a named tuple (value,
+est_error, terms_used) whose absolute-error estimate covers the omitted
+terms plus a float round-off allowance, so callers can assert accuracy
+instead of hoping for it. An argument at which g_nu leaves the doubles
+(nu < 1 and y near the smallest doubles) raises :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DivergentValue, DomainError, PoleError
 
@@ -102,9 +104,12 @@ def _borwein_pairs(n: int) -> tuple:
 _BORWEIN = _borwein_pairs(24)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """A value, an absolute-error estimate, and the number of terms used."""
+class EvalResult(NamedTuple):
+    """A value, an absolute-error estimate, and the number of terms used.
+
+    A named tuple: it unpacks as (value, est_error, terms_used) and equals
+    the plain tuple of those.
+    """
 
     value: float
     est_error: float
@@ -196,30 +201,43 @@ def gamma(x: float) -> float:
         return math.inf
 
 
-def _series_terms_needed(nu: float, y: float, tol: float) -> int:
-    """Smallest N with tail bound exp(-N y) max(1, N^-nu) / (1 - exp(-y)) < tol."""
-    one_minus = -math.expm1(-y)  # 1 - e^-y, accurate for tiny y
-    n = max(1.0, -math.log(tol * one_minus) / y)
+def _series_terms_needed(nu: float, y: float, one_minus: float) -> int:
+    """Smallest N with tail bound exp(-N y) max(1, N^-nu) / (1 - exp(-y)) < 1e-15.
+
+    one_minus is 1 - exp(-y), taken by the caller as -expm1(-y).
+    """
+    log_tol = -math.log(1e-15 * one_minus)
+    n = max(1.0, log_tol / y)
     if nu < 0.0:
         # n^|nu| growth inflates the tail; a couple of fixed-point rounds settle it
         for _ in range(4):
-            n = max(1.0, (-math.log(tol * one_minus) - nu * math.log(n)) / y)
+            n = max(1.0, (log_tol - nu * math.log(n)) / y)
     return int(math.ceil(n)) + 1
 
 
-def _series_tail_bound(nu: float, y: float, n_terms: int) -> float:
-    one_minus = -math.expm1(-y)
-    n1 = n_terms + 1
-    return math.exp(-n1 * y) / one_minus * max(1.0, n1 ** (-nu))
+@functools.lru_cache(maxsize=512)
+def _series_powers(nu: float) -> tuple:
+    """n^-nu for n = 1 .. the term count of the series route at y = SMALL_Y_SWITCH.
+
+    Larger y need no more terms, since the count falls as y grows.
+    """
+    n_terms = _series_terms_needed(nu, SMALL_Y_SWITCH, -math.expm1(-SMALL_Y_SWITCH))
+    return tuple(n**-nu for n in range(1, n_terms + 1))
 
 
 def _bose_series(nu: float, y: float) -> EvalResult:
     """Direct summation sum_n exp(-n y) n^-nu for y >= SMALL_Y_SWITCH."""
-    n_terms = _series_terms_needed(nu, y, 1e-15)
+    one_minus = -math.expm1(-y)  # 1 - e^-y, accurate for tiny y
+    n_terms = _series_terms_needed(nu, y, one_minus)
+    powers = _series_powers(nu)
+    if n_terms > len(powers):  # only if rounding breaks the fall of the count with y
+        powers = tuple(n**-nu for n in range(1, n_terms + 1))
+    neg_y = -y
     # exp per term: powers of a rounded exp(-y) drift by n ulp, together
-    value = math.fsum([math.exp(-y * n) * n**-nu for n in range(1, n_terms + 1)])
-    err = _series_tail_bound(nu, y, n_terms) + 4.0 * _EPS * abs(value)
-    return EvalResult(value, err, n_terms)
+    value = math.fsum([math.exp(neg_y * n) * p for n, p in zip(range(1, n_terms + 1), powers)])
+    n1 = n_terms + 1
+    tail = math.exp(-n1 * y) / one_minus * max(1.0, n1 ** (-nu))
+    return EvalResult(value, tail + 4.0 * _EPS * abs(value), n_terms)
 
 
 @functools.lru_cache(maxsize=512)
@@ -276,7 +294,12 @@ def _bose_expansion(nu: float, y: float) -> EvalResult:
     """
     coeffs, lead, pair = _expansion_constants(nu)
     if pair is None:
-        total = lead * y ** (nu - 1.0)
+        try:
+            total = lead * y ** (nu - 1.0)
+        except OverflowError:
+            raise DomainError(
+                f"g_nu(y) leaves the doubles at nu={nu!r}, y={y!r}: y^(nu - 1) overflows"
+            ) from None
         # y^(nu-1) carries the rounding of its exponent, amplified by ln y
         magnitude = abs(total) * (1.0 + abs((nu - 1.0) * math.log(y)))
     else:

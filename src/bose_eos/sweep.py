@@ -13,10 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import CondensedRegion, DomainError
-from .gas import GasSpec
-from .isobar import REGIME_BOUNDARY, solve_gap_isobar
-from .isochore import solve_gap_isochore
+from .errors import DomainError
+from .gas import GasSpec, _constraint_constants
+from .isobar import REGIME_BOUNDARY, _isobar_state, critical_temperature_pressure
+from .isochore import _isochore_state, critical_temperature_density
 
 SCHEMA_VERSION = "bose-eos v1"
 COLUMNS = ("T", "t", "r", "mu", "psi2", "rho", "P", "regime")
@@ -123,49 +123,64 @@ def temperature_grid(request: SweepRequest) -> list[float]:
     return spaced(request.T_min, request.T_max, request.points)
 
 
-def _isochore_row(spec: GasSpec, T: float, rho: float) -> dict:
-    pt = solve_gap_isochore(spec, T, rho)
-    return {
-        "T": pt.T,
-        "t": pt.t,
-        "r": pt.r,
-        "mu": pt.mu,
-        "psi2": pt.psi2,
-        "rho": pt.rho,
-        "P": pt.P,
-        "regime": pt.regime,
-    }
+def _isochore_rows(spec: GasSpec, rho: float, grid: list[float]) -> list[dict]:
+    tc = critical_temperature_density(spec, rho)
+    constants = _constraint_constants(spec, rho, 0)
+    rows = []
+    for T in grid:
+        pt = _isochore_state(spec, T, rho, tc, *constants)
+        rows.append({
+            "T": pt.T,
+            "t": pt.t,
+            "r": pt.r,
+            "mu": pt.mu,
+            "psi2": pt.psi2,
+            "rho": pt.rho,
+            "P": pt.P,
+            "regime": pt.regime,
+        })
+    return rows
 
 
-def _isobar_row(spec: GasSpec, T: float, P: float) -> dict:
-    try:
-        pt = solve_gap_isobar(spec, T, P)
-    except CondensedRegion as exc:
-        # No state is produced below T_c(P); keep the grid row as a sentinel.
-        return {
-            "T": T,
-            "t": T / exc.T_c - 1.0,
-            "r": None,
-            "mu": None,
-            "psi2": None,
-            "rho": None,
-            "P": P,
-            "regime": REGIME_BOUNDARY,
-        }
-    return {
-        "T": pt.T,
-        "t": pt.t_P,
-        "r": pt.r,
-        "mu": pt.mu,
-        "psi2": 0.0,
-        "rho": pt.rho,
-        "P": pt.P,
-        "regime": pt.regime,
-    }
+def _isobar_rows(spec: GasSpec, P: float, grid: list[float]) -> list[dict]:
+    tc = critical_temperature_pressure(spec, P)
+    constants = _constraint_constants(spec, P, 1)
+    rows = []
+    for T in grid:
+        pt = _isobar_state(spec, T, P, tc, *constants)
+        if pt is None:
+            # No state is produced below T_c(P); keep the grid row as a sentinel.
+            rows.append({
+                "T": T,
+                "t": T / tc - 1.0,
+                "r": None,
+                "mu": None,
+                "psi2": None,
+                "rho": None,
+                "P": P,
+                "regime": REGIME_BOUNDARY,
+            })
+            continue
+        rows.append({
+            "T": pt.T,
+            "t": pt.t_P,
+            "r": pt.r,
+            "mu": pt.mu,
+            "psi2": 0.0,
+            "rho": pt.rho,
+            "P": pt.P,
+            "regime": pt.regime,
+        })
+    return rows
 
 
 def run_sweep(request: SweepRequest) -> SweepTable:
-    """Solve the sweep grid and return rows ordered by temperature."""
-    solve = _isochore_row if request.constraint == CONSTRAINT_DENSITY else _isobar_row
-    rows = [solve(request.spec, T, request.value) for T in temperature_grid(request)]
+    """Solve the sweep grid and return rows ordered by temperature.
+
+    T_c and the other constants the held density or pressure fixes are
+    computed once per request; each row then takes the same solver core as
+    solve_gap_isochore or solve_gap_isobar, so it equals that point solve.
+    """
+    rows_of = _isochore_rows if request.constraint == CONSTRAINT_DENSITY else _isobar_rows
+    rows = rows_of(request.spec, request.value, temperature_grid(request))
     return SweepTable(columns=tuple(request.columns), rows=tuple(rows))

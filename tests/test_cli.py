@@ -103,6 +103,31 @@ def test_start_up_loads_neither_numpy_nor_scipy(argv):
     assert not loaded & {"numpy", "scipy"}
 
 
+# The README's examples, by the file under tests/data that holds their stdout.
+README_EXAMPLES = {
+    "tc_density.json": ["tc", "--d", "3", "--sigma", "2", "--density", "1.0"],
+    "tc_pressure.json": ["tc", "--d", "3", "--sigma", "1.5", "--pressure", "0.5"],
+    "sweep_density.csv": [
+        "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
+        "--tmin", "0.2", "--tmax", "2.0", "--points", "50",
+    ],
+    "sweep_pressure_log.json": [
+        "sweep", "--d", "3", "--sigma", "2", "--pressure", "1.0", "--tmin", "0.3", "--tmax", "3.0",
+        "--points", "80", "--spacing", "log", "--columns", "T,r,rho,regime", "--format", "json",
+    ],
+    "landau.csv": ["landau", "--d", "3", "--sigma", "2", "--density", "1.0", "--t=-0.1,0,0.1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_output_is_byte_stable(name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bose_eos", *README_EXAMPLES[name]], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def test_sweep_csv_is_byte_deterministic():
     args = (
         "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",

@@ -160,6 +160,18 @@ def test_grand_potential_field_pole():
         grand_potential(SPEC32, 1.0, 0.0, h=0.5)
 
 
+def test_grand_potential_in_the_si_precision_window():
+    # at SI d = 14.2, 1/V = 1 m^-d is subnormal in natural units, but
+    # Omega = -V P is an ordinary double
+    spec, T, r = GasSpec(14.2, 2.0, 1e-26, "si"), 1e-6, 1e-30
+    assert grand_potential(spec, T, r) == pytest.approx(-pressure_at(spec, T, r), rel=1e-12)
+    # a volume at which the field term -h^2 / (N r) is an eighth of -V P
+    h, n_particles, V = 1e-16, 3.0, 1e-60
+    omega = grand_potential(spec, T, r, h=h, n_particles=n_particles, volume=V)
+    expected = -V * pressure_at(spec, T, r) - h * h / (n_particles * r)
+    assert omega == pytest.approx(expected, rel=1e-12)
+
+
 def test_susceptibility_identity():
     # Psi = h/(N r) from the field derivative; chi_T = dPsi/dh = 1/(N r)
     T, r, n_particles = 1.2, 0.7, 5.0

@@ -1,5 +1,6 @@
 """Independent reference routes: box sums, Dirichlet zeta, naive series, stencils."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from bose_eos import (
     series_sum_highprec,
     zeta_dirichlet,
 )
+from bose_eos.oracle import _mode_multiplicities
 
 SPEC32 = GasSpec(d=3.0, sigma=2.0)
 
@@ -172,3 +174,26 @@ def test_finite_density_one_and_two_dimensions():
         bulk = density_at(spec, 1.0, 0.8)
         box = finite_density(spec, BoxSpec(L=24.0, d=d), T=1.0, mu=-0.8)
         assert box == pytest.approx(bulk, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mode_multiplicities_count_integer_vectors(d):
+    n_max = 3
+    brute = np.zeros(d * n_max**2 + 1)
+    for n in itertools.product(range(-n_max, n_max + 1), repeat=d):
+        brute[sum(k * k for k in n)] += 1.0
+    assert np.array_equal(_mode_multiplicities(d, n_max), brute)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_max", [1, 2, 17, 128])
+def test_mode_multiplicities_equal_the_axis_convolution(d, n_max):
+    # the dense convolution of the per-axis counts, entry for entry
+    axis = np.zeros(n_max * n_max + 1)
+    axis[0] = 1.0
+    axis[np.arange(1, n_max + 1) ** 2] = 2.0
+    expected = axis
+    for _ in range(d - 1):
+        expected = np.convolve(expected, axis)
+    counts = _mode_multiplicities(d, n_max)
+    assert counts.dtype == expected.dtype and np.array_equal(counts, expected)

@@ -9,6 +9,7 @@ import pytest
 from bose_eos import (
     DivergentValue,
     DomainError,
+    EvalResult,
     PoleError,
     bose_g,
     bose_g_derivative,
@@ -260,3 +261,21 @@ def test_small_y_switch_edges_agree():
         above = bose_g(nu, SMALL_Y_SWITCH)
         assert abs(below.value - above.value) <= below.est_error + above.est_error + 1e-15
         assert below.terms_used <= 30 < above.terms_used <= 40
+
+
+def test_eval_result_is_a_named_tuple():
+    res = bose_g(2.5, 0.3)
+    assert EvalResult._fields == ("value", "est_error", "terms_used")
+    assert float(res) == res.value
+    value, est_error, terms_used = res
+    assert res == (value, est_error, terms_used) == EvalResult(value, est_error, terms_used)
+    assert res != EvalResult(value, est_error, terms_used + 1)
+    with pytest.raises(AttributeError):
+        res.value = 0.0
+
+
+@pytest.mark.parametrize("nu, y", [(0.01, 5e-324), (0.001, 1e-310)])
+def test_overflowing_lead_term_is_a_domain_error(nu, y):
+    # Gamma(1 - nu) y^(nu - 1) leaves the doubles
+    with pytest.raises(DomainError, match=f"nu={nu!r}, y={y!r}"):
+        bose_g(nu, y)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import bose_eos.sweep
 from bose_eos import (
     COLUMNS,
     CondensedRegion,
@@ -282,6 +283,27 @@ def test_isobar_rows_equal_solver_points(spec, rho, P):
             "T": pt.T, "t": pt.t_P, "r": pt.r, "mu": pt.mu, "psi2": 0.0,
             "rho": pt.rho, "P": pt.P, "regime": pt.regime,
         }
+
+
+@pytest.mark.parametrize(
+    "constraint, tc_name",
+    [("density", "critical_temperature_density"), ("pressure", "critical_temperature_pressure")],
+)
+def test_run_sweep_computes_tc_once_per_request(monkeypatch, constraint, tc_name):
+    calls = []
+    tc_of = getattr(bose_eos.sweep, tc_name)
+
+    def counted(*args):
+        calls.append(args)
+        return tc_of(*args)
+
+    monkeypatch.setattr(bose_eos.sweep, tc_name, counted)
+    request = SweepRequest(
+        spec=SPEC32, constraint=constraint, value=1.0, T_min=0.2, T_max=8.0, points=40
+    )
+    rows = run_sweep(request).rows
+    assert len(rows) == 40 and rows[0]["regime"] != rows[-1]["regime"] == "normal"
+    assert calls == [(SPEC32, 1.0)]
 
 
 def test_formatting_uses_17_significant_digits():
