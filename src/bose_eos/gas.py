@@ -178,6 +178,28 @@ def _density_prefactor(spec: GasSpec, T: float, a: float | None = None) -> float
     )
 
 
+def _log_prefactor(spec: GasSpec, T: float, k: int, a: float | None = None) -> float:
+    """ln(T^k lambda_T^-d A(d, sigma)) in natural units; ``a`` is A if the caller holds it.
+
+    The prefactor of g_(d/sigma + k) in the density (k = 0) or pressure
+    (k = 1) constraint, which the gap solver takes in logs. It is the log of
+    the product where that is a normal double, and a sum of logs where the
+    product leaves them (T = 1e250 at d/sigma = 1.5, or an A past the doubles).
+    """
+    try:
+        pref = T**k * _density_prefactor(spec, T, a)
+    except DomainError:
+        pref = math.inf
+    if _all_normal(pref):
+        return math.log(pref)
+    log_a = _log_prefactor_A(spec.d, spec.sigma) if a is None else math.log(a)
+    return (
+        k * math.log(T)
+        + spec.d_over_sigma * (math.log(spec.mass) + math.log(T) - _LN_2PI)
+        + log_a
+    )
+
+
 def _all_normal(*values: float) -> bool:
     """Whether every value is a finite double at or above sys.float_info.min.
 

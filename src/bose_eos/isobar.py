@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import CondensedRegion, ConvergenceError, DomainError
 from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
-from .gas import _density_prefactor, _natural_constraint, _scales, _spec_constraint, prefactor_A
+from .gas import _density_prefactor, _log_prefactor, _natural_constraint, _scales, _spec_constraint
+from .gas import prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
     REGIME_NORMAL,
@@ -108,11 +109,14 @@ def _isobar_state(
     energy, _ = _scales(spec)
     nu = spec.d_over_sigma
     boundary = abs(t_P) <= CRITICAL_WINDOW
+    r_nat = 0.0
     try:
-        pref = _density_prefactor(spec, T, a)
-        if not boundary and target is None:  # raises P's DomainError, which gets the state below
-            target = _natural_constraint(spec, P, 1)
-        r_nat = 0.0 if boundary else solve_bose_equation(nu + 1.0, T * pref, target, T)
+        if not boundary:
+            if target is None:  # raises P's DomainError, which gets the state below
+                target = _natural_constraint(spec, P, 1)
+            r_nat = solve_bose_equation(nu + 1.0, _log_prefactor(spec, T, 1, a), target, T)
+        classical = r_nat / T >= CLASSICAL_Y
+        pref = None if classical else _density_prefactor(spec, T, a)
     except (ConvergenceError, DomainError) as exc:
         raise type(exc)(
             f"isobar gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
@@ -123,7 +127,7 @@ def _isobar_state(
         regime = REGIME_BOUNDARY
         # the coexistence density diverges for d <= sigma
         rho = _spec_constraint(spec, pref * zeta(nu), 0) if spec.d > spec.sigma else math.inf
-    elif r_nat / T >= CLASSICAL_Y:  # g_nu = g_(nu+1) to double precision: rho = P / k_B T
+    elif classical:  # g_nu = g_(nu+1) to double precision: rho = P / k_B T
         regime, rho = REGIME_NORMAL, P / (T * energy)
     else:
         regime, rho = REGIME_NORMAL, _spec_constraint(spec, pref * bose_g(nu, r_nat / T).value, 0)

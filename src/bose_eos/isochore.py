@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
 from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
-from .gas import _density_prefactor, _natural_constraint, _scales, _spec_constraint, prefactor_A
+from .gas import _density_prefactor, _log_prefactor, _natural_constraint, _scales, _spec_constraint
+from .gas import prefactor_A
 from .rootfind import solve_bose_equation
 from .special import CLASSICAL_Y, bose_g, zeta
 
@@ -139,18 +140,19 @@ def _isochore_state(
     else:
         regime = REGIME_NORMAL
     try:
-        pref = _density_prefactor(spec, T, a)
         if regime == REGIME_NORMAL:
             if target is None:  # raises rho's DomainError, which gets the state below
                 target = _natural_constraint(spec, rho, 0)
-            r_nat = solve_bose_equation(nu, pref, target, T)
+            r_nat = solve_bose_equation(nu, _log_prefactor(spec, T, 0, a), target, T)
+        classical = r_nat / T >= CLASSICAL_Y
+        pref = None if classical else _density_prefactor(spec, T, a)
     except (ConvergenceError, DomainError) as exc:
         raise type(exc)(
             f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
             f"T={T!r}, rho={rho!r}: {exc}"
         ) from exc
 
-    if r_nat / T >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
+    if classical:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
         P = T * rho * energy
     else:
         P = _spec_constraint(spec, T * pref * bose_g(nu + 1.0, r_nat / T).value, 1)

@@ -2,12 +2,17 @@
 
 Both constraint solvers reduce to one problem: find r >= 0 with
 ``prefactor * g_order(r / T) = target``, the left side strictly decreasing
-in r. As 0 < e^(-n y) n^(-order) <= e^(-n y) for order >= 0, the bounds
-e^(-y) <= g_order(y) <= 1 / (e^y - 1) put y* = r / T in the closed-form
-bracket [max(0, L), ln(1 + e^L)] with L = ln(prefactor / target). Newton
-steps use the exact derivative g_order' = -g_(order-1) and fall back to
-bisection whenever a step leaves the bracket or the derivative order makes
-g_(order-1) blow up near r = 0.
+in r. It is solved in logs, as phi(y) = ln g_order(y) + L = 0 with
+y = r / T and L = ln(prefactor / target), so a prefactor past the doubles
+still has a root. As 0 < e^(-n y) n^(-order) <= e^(-n y) for order >= 0,
+the bounds e^(-y) <= g_order(y) <= 1 / (e^y - 1) put y* in the closed-form
+bracket [max(0, L), ln(1 + e^L)]; from L = CLASSICAL_Y on it is narrower
+than a double resolves and y* = L. For L > 0 Newton starts at the two-term
+Boltzmann (virial) inversion of g_order = z + z^2 / 2^order, z = e^-y, and
+otherwise at the middle of the bracket. Newton steps take the slope
+phi' = -g_(order-1) / g_order, with g_order from the same iterate, and fall
+back to bisection whenever a step leaves the bracket or the derivative order
+makes g_(order-1) blow up near r = 0.
 """
 
 from __future__ import annotations
@@ -17,11 +22,16 @@ import sys
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
-from .special import _bose_any_order, bose_g
+from .special import CLASSICAL_Y, _bose_any_order, bose_g
 
 # Bisection-only region: for derivative orders <= 1 the Newton slope
 # diverges as r -> 0, so below this beta*r the plain bracket halving is used.
 _NEWTON_FLOOR_Y = 1e-6
+
+# Stop at |ln(prefactor g / target)| <= this. 1e-12 would hold the relative
+# residual to 1e-12 but left r off by 1.6e-11 at T = 2.7488 in the README log
+# sweep: at small y, dr / r is the residual over y g_(order-1) / g_order.
+_LOG_TOL = 1e-13
 
 _MAX_ITER = 400
 _FLOAT_MIN = sys.float_info.min
@@ -37,14 +47,17 @@ def find_root_decreasing(
     xtol_rel: float = 4.0 * 2.220446049250313e-16,
     newton_floor: float = 0.0,
     max_iter: int = _MAX_ITER,
+    start: float | None = None,
 ) -> float:
     """Root of strictly decreasing ``f`` on [lo, hi] with f(lo) > 0 > f(hi).
 
+    The first iterate is ``start`` if given, else the middle of the bracket.
     Newton iterates are confined to the current bracket; any step that
     escapes it, lands below ``newton_floor``, or lacks a usable derivative
-    is replaced by bisection. Terminates on |f| <= ftol or bracket collapse.
+    is replaced by bisection. ``df`` is called only at the x that ``f`` was
+    just called at. Terminates on |f| <= ftol or bracket collapse.
     """
-    x = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi) if start is None else start
     for _ in range(max_iter):
         fx = f(x)
         if abs(fx) <= ftol:
@@ -69,39 +82,50 @@ def find_root_decreasing(
     )
 
 
-def solve_bose_equation(
-    order: float,
-    prefactor: float,
-    target: float,
-    T: float,
-    *,
-    residual_rtol: float = 1e-12,
-) -> float:
-    """Solve ``prefactor * g_order(r / T) = target`` for the gap r > 0.
+def solve_bose_equation(order: float, log_prefactor: float, target: float, T: float) -> float:
+    """Solve ``ln g_order(r / T) = ln(target) - log_prefactor`` for the gap r > 0.
 
-    Assumes the caller has already established that a positive root exists,
-    i.e. prefactor * zeta(order) > target (the normal side of the
-    transition), and takes the bracket from the logarithms of prefactor and
-    target, which must be normal doubles (``DomainError`` otherwise). Past
-    y* ~ 37 the bracket is narrower than a double resolves and its lower end
-    is the root, also where g_order(y*) underflows.
+    log_prefactor is ln(prefactor), finite also where the prefactor itself
+    leaves the doubles. Assumes the caller has already established that a
+    positive root exists, i.e. prefactor * zeta(order) > target (the normal
+    side of the transition). target must be a normal double and
+    log_prefactor finite (``DomainError`` otherwise). The solve stops at
+    |ln(prefactor g_order / target)| <= _LOG_TOL, which holds the relative
+    residual of the linear equation to about _LOG_TOL too. From
+    L = ln(prefactor / target) = CLASSICAL_Y on, the root is L itself and no
+    Bose function is evaluated, also where g_order(y*) underflows.
     """
-    if not (_FLOAT_MIN <= prefactor < math.inf and _FLOAT_MIN <= target < math.inf):
-        raise DomainError(f"gap equation sides {prefactor!r}, {target!r} are not normal doubles")
-    ftol = residual_rtol * target
+    if not (math.isfinite(log_prefactor) and _FLOAT_MIN <= target < math.inf):
+        raise DomainError(
+            f"gap equation sides ln(prefactor) = {log_prefactor!r}, target = {target!r}: "
+            "need a finite log and a target in the normal doubles"
+        )
+    log_ratio = log_prefactor - math.log(target)  # L
+    if log_ratio >= CLASSICAL_Y:  # the bracket below is [L, L] in doubles
+        return log_ratio * T
+    g_order = 0.0  # g_order at the latest residual, for the slope at the same r
 
     def residual(r: float) -> float:
-        return prefactor * bose_g(order, r / T).value - target
+        nonlocal g_order
+        g_order = bose_g(order, r / T).value
+        return math.log(g_order) + log_ratio
 
     def residual_slope(r: float) -> float:
-        # d/dr [g_order(r/T)] = -g_(order-1)(r/T) / T
-        return -prefactor * _bose_any_order(order - 1.0, r / T).value / T
+        # d/dr ln g_order(r/T) = -g_(order-1)(r/T) / (T g_order(r/T))
+        return -_bose_any_order(order - 1.0, r / T).value / (T * g_order)
 
-    log_ratio = math.log(prefactor) - math.log(target)  # L, in logs: the ratio may overflow
     y_lo = max(log_ratio, 0.0)
     y_hi = y_lo + math.log1p(math.exp(-abs(log_ratio)))  # ln(1 + e^L)
+    start = None
+    if log_ratio > 0.0:
+        # z + z^2 / 2^order = e^-L, the first two terms of g_order, for z = e^-y
+        w = math.exp(-log_ratio)
+        y0 = -math.log(2.0 * w / (1.0 + math.sqrt(1.0 + 4.0 * 2.0**-order * w)))
+        if y_lo < y0 < y_hi:
+            start = y0 * T
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
     return find_root_decreasing(
-        residual, residual_slope, y_lo * T, y_hi * T, ftol=ftol, newton_floor=floor
+        residual, residual_slope, y_lo * T, y_hi * T,
+        ftol=_LOG_TOL, newton_floor=floor, start=start,
     )

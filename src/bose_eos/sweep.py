@@ -25,6 +25,10 @@ CONSTRAINT_DENSITY = "density"
 CONSTRAINT_PRESSURE = "pressure"
 _CONSTRAINTS = (CONSTRAINT_DENSITY, CONSTRAINT_PRESSURE)
 _SPACINGS = ("linear", "log")
+# Encodes one sweep row with the item separator json.dumps(..., indent=2)
+# puts between a row's items, which sit at depth 3 inside the "rows" list;
+# SweepTable.to_json replaces the braces with indented ones.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -74,12 +78,21 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "columns": list(self.columns),
-            "rows": [{c: _json_cell(row[c]) for c in self.columns} for row in self.rows],
-        }
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        """json.dumps(doc, indent=2, allow_nan=False) of the table, byte for byte.
+
+        indent=2 would take json's pure-Python encoder; the rows go through
+        the C encoder instead, one flat dict each, and get the indented
+        frame around them here.
+        """
+        head = json.dumps({"schema": SCHEMA_VERSION, "columns": list(self.columns)}, indent=2)
+        if not self.rows:
+            return head[:-2] + ',\n  "rows": []\n}\n'
+        encode = _ROW_ENCODER.encode
+        rows = []
+        for row in self.rows:
+            text = encode({c: _json_cell(row[c]) for c in self.columns})
+            rows.append(f"    {{\n      {text[1:-1]}\n    }}" if len(text) > 2 else "    {}")
+        return head[:-2] + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def _format_cell(value) -> str:

@@ -232,15 +232,16 @@ def test_domain_failures_exit_code_two():
 
 
 def test_sweep_past_the_double_range_exits_two(capsys):
-    # lambda_T^-d A overflows from T ~ 1e205 on; the first row (T = 1e200) solves
+    # lambda_T^-d A overflows from T ~ 2e206 on, where y* ~ 12 is not classical and
+    # P needs it; the first row (T = 1e206) solves
     code = bose_eos.cli.main(
-        ["sweep", "--d", "3", "--sigma", "2", "--density", "1",
-         "--tmin", "1e200", "--tmax", "1e250", "--points", "3"]
+        ["sweep", "--d", "3", "--sigma", "2", "--density", "1e307",
+         "--tmin", "1e206", "--tmax", "1e209", "--points", "3"]
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: isochore gap solve failed at d=3.0, sigma=2.0, T=5e+249")
-    assert "rho=1.0" in err and "double range" in err
+    assert err.startswith("error: isochore gap solve failed at d=3.0, sigma=2.0, T=5.005e+208")
+    assert "rho=1e+307" in err and "double range" in err
 
 
 def test_verify_quick_passes():

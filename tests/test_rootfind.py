@@ -1,11 +1,12 @@
 """The gap root finder: its closed-form bracket, its cost and its reach.
 
-``solve_bose_equation`` brackets the root y* = r / T of
-prefactor * g_nu(y) = target with the bounds e^-y <= g_nu(y) <= 1 / (e^y - 1)
-instead of searching for a sign change. These checks hold the bounds against
+``solve_bose_equation`` solves ln g_nu(y) = ln(target) - ln(prefactor) for
+the root y* = r / T, bracketed by the bounds e^-y <= g_nu(y) <= 1 / (e^y - 1)
+instead of a search for a sign change. These checks hold the bounds against
 the Bose function, every returned root to that bracket and to its
-constraint, the Bose evaluations a solve spends, and roots past y = 708,
-where g_nu(y) leaves the normal doubles.
+constraint, the Bose evaluations a solve spends, roots past y = 708, where
+g_nu(y) leaves the normal doubles, roots whose prefactor leaves them, and
+the gaps of the README's log sweep against mpmath.
 """
 
 import math
@@ -19,9 +20,11 @@ import bose_eos.rootfind
 from bose_eos import (
     DomainError,
     GasSpec,
+    SweepRequest,
     bose_g,
     critical_temperature_density,
     critical_temperature_pressure,
+    run_sweep,
     solve_gap_isobar,
     solve_gap_isochore,
 )
@@ -60,7 +63,7 @@ def test_bose_function_lies_between_the_bracket_bounds(nu, y):
 def test_every_root_lies_in_the_log_form_bracket(nu, y_true, prefactor, T):
     # y* <= 650 and prefactor >= 1 keep the target a normal double
     target = prefactor * bose_g(nu, y_true).value
-    y = solve_bose_equation(nu, prefactor, target, T) / T
+    y = solve_bose_equation(nu, math.log(prefactor), target, T) / T
     lo, hi = log_form_bracket(prefactor, target)
     assert lo * (1.0 - 4.0 * EPS) <= y <= hi * (1.0 + 4.0 * EPS)
     assert abs(prefactor * bose_g(nu, y).value - target) <= 1e-12 * target
@@ -69,7 +72,7 @@ def test_every_root_lies_in_the_log_form_bracket(nu, y_true, prefactor, T):
 @pytest.mark.parametrize("prefactor, target", [(math.inf, 1.0), (1.0, 0.0), (1.0, 5e-324)])
 def test_sides_outside_the_normal_doubles_are_a_domain_error(prefactor, target):
     with pytest.raises(DomainError, match="normal doubles"):
-        solve_bose_equation(1.5, prefactor, target, 1.0)
+        solve_bose_equation(1.5, math.log(prefactor), target, 1.0)
 
 
 def test_bose_calls_per_solve_far_from_tc(monkeypatch):
@@ -99,8 +102,8 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
                 assert solve(spec, ratio * tc(spec, 1.0), 1.0).r > 0.0
                 per_solve.append(calls[0] - before)
     assert len(per_solve) == 24
-    assert sum(per_solve) / len(per_solve) <= 9.0, per_solve
-    assert max(per_solve) <= 14, per_solve
+    assert sum(per_solve) / len(per_solve) <= 5.6, per_solve
+    assert max(per_solve) <= 9, per_solve
 
 
 def _exact_gap(order: float, log_prefactor, log_target) -> float:
@@ -138,3 +141,55 @@ def test_isobar_gap_past_the_underflow_of_g():
     assert exact > 708.0
     assert pt.r / T == pytest.approx(exact, rel=1e-13)
     assert pt.rho == pytest.approx(P / T, rel=1e-15)
+
+
+@pytest.mark.parametrize("T", [1e250, 1e300])
+def test_isochore_gap_where_the_prefactor_overflows(T):
+    # lambda_T^-d A = (T / 2 pi)^1.5 ~ e^861 at T = 1e250 is no double; y* and P are
+    mpmath = pytest.importorskip("mpmath")
+    rho = 1.0
+    pt = solve_gap_isochore(GasSpec(d=3.0, sigma=2.0), T, rho)
+    with mpmath.workdps(40):
+        log_pref = 1.5 * (mpmath.log(T) - mpmath.log(2 * mpmath.pi))
+        exact = _exact_gap(1.5, log_pref, mpmath.log(rho))
+    assert exact > 700.0
+    assert pt.regime == "normal"
+    assert pt.r / T == pytest.approx(exact, rel=1e-13)
+    assert pt.P == pytest.approx(T * rho, rel=1e-13)
+
+
+@pytest.mark.parametrize("T, P", [(1e250, 1.0), (1e150, 1e-300)])
+def test_isobar_gap_where_the_prefactor_overflows(T, P):
+    # T lambda_T^-d A ~ e^1436 at T = 1e250 (e^862 at T = 1e150) is no double
+    mpmath = pytest.importorskip("mpmath")
+    pt = solve_gap_isobar(GasSpec(d=3.0, sigma=2.0), T, P)
+    with mpmath.workdps(40):
+        log_pref = mpmath.log(T) + 1.5 * (mpmath.log(T) - mpmath.log(2 * mpmath.pi))
+        exact = _exact_gap(2.5, log_pref, mpmath.log(P))
+        rho = float(mpmath.mpf(P) / T)
+    assert exact > 700.0
+    assert pt.regime == "normal"
+    assert pt.r / T == pytest.approx(exact, rel=1e-13)
+    assert pt.rho == pytest.approx(rho, rel=1e-13)
+
+
+def test_readme_log_sweep_gaps_against_mpmath():
+    # every normal row of the README's --pressure 1.0 ... --spacing log sweep
+    mpmath = pytest.importorskip("mpmath")
+    request = SweepRequest(
+        spec=GasSpec(d=3.0, sigma=2.0), constraint="pressure", value=1.0,
+        T_min=0.3, T_max=3.0, points=80, spacing="log",
+    )
+    rows = [row for row in run_sweep(request).rows if row["regime"] == "normal"]
+    assert len(rows) == 4  # rows 76 to 79: T_c(P = 1) = 2.68
+    worst = 0.0
+    with mpmath.workdps(40):
+        for row in rows:
+            T = mpmath.mpf(row["T"])
+            log_pref = mpmath.log(T) + 1.5 * (mpmath.log(T) - mpmath.log(2 * mpmath.pi))
+            exact = T * mpmath.findroot(
+                lambda y: mpmath.log(mpmath.polylog(2.5, mpmath.exp(-y))) + log_pref,
+                row["r"] / row["T"],
+            )
+            worst = max(worst, float(abs(row["r"] - exact) / exact))
+    assert worst <= 1e-14, worst

@@ -194,6 +194,35 @@ def test_json_round_trips():
     assert isinstance(row["regime"], str)
 
 
+def test_json_equals_the_indented_dump_byte_for_byte():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cells = st.one_of(
+        st.none(),
+        st.text(max_size=8),
+        st.sampled_from(["normal", "condensed", "condensed_boundary"]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-320, 5e-324]),
+        st.integers(min_value=-(2**53), max_value=2**53),
+    )
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(
+        columns=st.lists(st.sampled_from(COLUMNS), unique=True, max_size=len(COLUMNS)),
+        rows=st.lists(st.fixed_dictionaries({c: cells for c in COLUMNS}), max_size=5),
+    )
+    def check(columns, rows):
+        table = bose_eos.sweep.SweepTable(columns=tuple(columns), rows=tuple(rows))
+        doc = {
+            "schema": "bose-eos v1",
+            "columns": columns,
+            "rows": [{c: bose_eos.sweep._json_cell(row[c]) for c in columns} for row in rows],
+        }
+        assert table.to_json() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    check()
+
+
 def test_json_serializes_infinite_density_as_string():
     # d <= sigma isobars condense only at T=0; density diverges at the
     # boundary and must survive strict (allow_nan=False) JSON
