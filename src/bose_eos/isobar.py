@@ -131,6 +131,11 @@ def _isobar_state(
         regime, rho = REGIME_NORMAL, P / (T * energy)
     else:
         regime, rho = REGIME_NORMAL, _spec_constraint(spec, pref * bose_g(nu, r_nat / T).value, 0)
+    if rho == math.inf and not (boundary and spec.d <= spec.sigma):
+        raise DomainError(
+            f"isobar state at d={spec.d!r}, sigma={spec.sigma!r}, T={T!r}, P={P!r} "
+            "has a density outside the double range"
+        )
     return IsobarPoint(
         T=T,
         P=P,

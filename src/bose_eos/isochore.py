@@ -136,7 +136,7 @@ def _isochore_state(
         regime = REGIME_CRITICAL
     elif t < 0.0:
         regime = REGIME_CONDENSED
-        psi2 = -math.expm1(nu * math.log(T / tc))  # 1 - (T/T_c)^(d/sigma)
+        psi2 = _condensed_fraction(nu, T / tc)
     else:
         regime = REGIME_NORMAL
     try:
@@ -156,6 +156,11 @@ def _isochore_state(
         P = T * rho * energy
     else:
         P = _spec_constraint(spec, T * pref * bose_g(nu + 1.0, r_nat / T).value, 1)
+    if P == math.inf:
+        raise DomainError(
+            f"isochore state at d={spec.d!r}, sigma={spec.sigma!r}, T={T!r}, rho={rho!r} "
+            "has a pressure outside the double range"
+        )
     return ThermoPoint(T=T, t=t, r=r_nat * energy, psi2=psi2, rho=rho, P=P, regime=regime)
 
 
@@ -203,7 +208,12 @@ def condensate_fraction(spec: GasSpec, T: float, rho: float) -> float:
         return 0.0
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
-    return -math.expm1(spec.d_over_sigma * math.log(T / tc))
+    return _condensed_fraction(spec.d_over_sigma, T / tc)
+
+
+def _condensed_fraction(nu: float, ratio: float) -> float:
+    """1 - ratio^nu for 0 <= ratio < 1, ratio = T / T_c; 1 where the ratio underflows."""
+    return -math.expm1(nu * math.log(ratio)) if ratio else 1.0
 
 
 def susceptibility(r: float, n_particles: float = 1.0) -> float:

@@ -233,15 +233,37 @@ def test_domain_failures_exit_code_two():
 
 def test_sweep_past_the_double_range_exits_two(capsys):
     # lambda_T^-d A overflows from T ~ 2e206 on, where y* ~ 12 is not classical and
-    # P needs it; the first row (T = 1e206) solves
+    # P needs it; the first row (T = 1e15, condensed, P ~ 2.7e36) solves
     code = bose_eos.cli.main(
         ["sweep", "--d", "3", "--sigma", "2", "--density", "1e307",
-         "--tmin", "1e206", "--tmax", "1e209", "--points", "3"]
+         "--tmin", "1e15", "--tmax", "1.001e209", "--points", "3"]
     )
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: isochore gap solve failed at d=3.0, sigma=2.0, T=5.005e+208")
     assert "rho=1e+307" in err and "double range" in err
+
+
+@pytest.mark.parametrize(
+    "args, state",
+    [
+        # P grows with T: the first row (T = 1e100) solves, the second overflows
+        (["--d", "3", "--density", "1e200", "--tmin", "1e100", "--tmax", "1e200"],
+         "isochore state at d=3.0, sigma=2.0, T=5e+199, rho=1e+200"),
+        (["--d", "3", "--density", "1e300", "--tmin", "1e100", "--tmax", "1e200"],
+         "isochore state at d=3.0, sigma=2.0, T=5e+199, rho=1e+300"),
+        # rho = P / k_B T falls with T: the first row overflows
+        (["--d", "20", "--mass", "1e-26", "--units", "si", "--pressure", "1e300",
+          "--tmin", "1e13", "--tmax", "1e20"],
+         "isobar state at d=20.0, sigma=2.0, T=10000000000000.0, P=1e+300"),
+    ],
+    ids=["normal-pressure", "condensed-pressure", "density"],
+)
+def test_sweep_into_an_overflowing_state_exits_two(capsys, args, state):
+    code = bose_eos.cli.main(["sweep", "--sigma", "2", *args, "--points", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {state} has a") and "double range" in err
 
 
 def test_verify_quick_passes():

@@ -86,6 +86,19 @@ def test_boundary_density_diverges_for_low_dimension():
     assert pt.v == 0.0
 
 
+@pytest.mark.parametrize("t_over_tc", [1.0, 2.0])
+def test_density_overflow_is_a_domain_error_naming_the_state(t_over_tc):
+    # rho = P / k_B T ~ 1e310 m^-20 at the boundary and on the normal branch:
+    # finite inputs whose density leaves the doubles once came back as rho = inf
+    spec = GasSpec(d=20.0, sigma=2.0, mass=1e-26, units="si")
+    P = 1e300
+    T = t_over_tc * critical_temperature_pressure(spec, P)
+    with pytest.raises(DomainError) as info:
+        solve_gap_isobar(spec, T, P)
+    for part in ("d=20.0", "sigma=2.0", f"T={T!r}", "P=1e+300", "double range"):
+        assert part in str(info.value)
+
+
 def test_below_tc_refused():
     P = 0.7
     tc = critical_temperature_pressure(SPEC32, P)

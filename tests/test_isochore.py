@@ -250,6 +250,29 @@ def test_prefactor_overflow_is_a_domain_error_naming_the_state():
         assert part in message
 
 
+@pytest.mark.parametrize("rho, regime", [(1e200, "normal"), (1e300, "condensed")])
+def test_pressure_overflow_is_a_domain_error_naming_the_state(rho, regime):
+    # finite inputs whose pressure leaves the doubles: P = rho T = 1e400 (classical),
+    # and the condensed P(T, r = 0) ~ 1e499; both once came back as P = inf
+    tc = critical_temperature_density(SPEC32, rho)
+    assert (1e200 > tc) == (regime == "normal")
+    with pytest.raises(DomainError) as info:
+        solve_gap_isochore(SPEC32, 1e200, rho)
+    for part in ("d=3.0", "sigma=2.0", "T=1e+200", f"rho={rho!r}", "double range"):
+        assert part in str(info.value)
+
+
+def test_condensed_state_where_t_over_tc_underflows():
+    # T / T_c ~ 1e-333 underflows to 0: the condensate fraction is 1 and the
+    # pressure underflows, where the log of the ratio once raised ValueError
+    spec = GasSpec(d=2.0, sigma=1.0)
+    T, rho = 1.4477430153839122e-233, 1.2657750657725159e194
+    assert T / critical_temperature_density(spec, rho) == 0.0
+    pt = solve_gap_isochore(spec, T, rho)
+    assert pt.regime == "condensed" and pt.psi2 == 1.0 and pt.r == 0.0 and pt.P == 0.0
+    assert condensate_fraction(spec, T, rho) == 1.0
+
+
 def test_subnormal_natural_density_is_a_domain_error_naming_the_state():
     # rho L0^d is subnormal: the solve would work on a density with a few bits
     spec = GasSpec(d=3.0, sigma=2.0, mass=1e-26, units="si")

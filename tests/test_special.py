@@ -17,7 +17,7 @@ from bose_eos import (
     series_sum_highprec,
     zeta,
 )
-from bose_eos.special import SMALL_Y_SWITCH, _bose_any_order
+from bose_eos.special import CLASSICAL_Y, SMALL_Y_SWITCH, _bose_any_order
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -157,6 +157,41 @@ def test_small_y_expansion_against_mpmath():
             if nu > 0.0:
                 # g_nu grows like y^(nu - 1) for nu < 1, so the bound is relative there
                 assert res.est_error <= 1e-12 * max(1.0, abs(ref)), (nu, y, res)
+
+
+def test_series_route_against_mpmath():
+    # The Horner series from the switch to the classical limit: integer and
+    # near-integer orders, and the slope orders in (-1, 0], whose n^|nu| weights
+    # grow with n; the round-off bound must hold for them too.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(14)
+    orders = [n + offset for n in range(0, 9) for offset in (0.0, 1e-9, -1e-9, 1e-4, -1e-4)]
+    orders = [nu for nu in orders if -1.0 < nu <= 8.0]
+    orders += [rng.uniform(-1.0, 0.0) for _ in range(8)] + [rng.uniform(0.0, 8.0) for _ in range(8)]
+    edges = [SMALL_Y_SWITCH, math.nextafter(SMALL_Y_SWITCH, 2.0), math.nextafter(CLASSICAL_Y, 0.0)]
+    cases = [(nu, y) for nu in orders for y in edges]
+    log_y_max = math.log(CLASSICAL_Y)
+    cases += [(nu, math.exp(rng.uniform(0.0, log_y_max))) for nu in orders for _ in range(16)]
+    assert len(cases) >= 1000
+    with mpmath.workdps(40):
+        for nu, y in cases:
+            res = _bose_any_order(nu, y)
+            ref = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
+            assert abs(res.value - ref) <= res.est_error, (nu, y, res)
+            assert res.terms_used <= 40, (nu, y, res)
+            if nu > 0.0:
+                assert res.est_error <= 1e-13 * abs(ref), (nu, y, res)
+
+
+@pytest.mark.parametrize("y", [712.3, 720.1, 740.0, 745.5])
+def test_series_error_bound_where_e_to_the_minus_y_is_subnormal(y):
+    # z = e^-y and g_nu ~ z round in absolute terms there (745.5: both round to 0)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for nu in (0.5, 1.5, 3.0):
+            res = bose_g(nu, y)
+            ref = mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y)))
+            assert abs(res.value - ref) <= res.est_error, (nu, y, res)
 
 
 def test_derivative_recurrence_at_zero():
