@@ -1,6 +1,7 @@
-"""Bracketed Newton root finding for the monotone gap equations.
+"""Bracketed Newton solve of the monotone gap equation.
 
-Both constraint solvers reduce to one problem: find r >= 0 with
+Both constraint solvers reduce to one problem, which
+``solve_bose_equation`` solves in one loop over the gap r: find r >= 0 with
 ``prefactor * g_order(r / T) = target``, the left side strictly decreasing
 in r. It is solved in logs, as phi(y) = ln g_order(y) + L = 0 with
 y = r / T and L = ln(prefactor / target), so a prefactor past the doubles
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
 
 from .errors import ConvergenceError, DomainError
 from .special import CLASSICAL_Y, _bose_any_order, bose_g
@@ -33,53 +33,11 @@ _NEWTON_FLOOR_Y = 1e-6
 # sweep: at small y, dr / r is the residual over y g_(order-1) / g_order.
 _LOG_TOL = 1e-13
 
+# Or stop once the bracket is this narrow, relative to its upper end.
+_XTOL_REL = 4.0 * sys.float_info.epsilon
+
 _MAX_ITER = 400
 _FLOAT_MIN = sys.float_info.min
-
-
-def find_root_decreasing(
-    f: Callable[[float], float],
-    df: Callable[[float], float] | None,
-    lo: float,
-    hi: float,
-    *,
-    ftol: float,
-    xtol_rel: float = 4.0 * 2.220446049250313e-16,
-    newton_floor: float = 0.0,
-    max_iter: int = _MAX_ITER,
-    start: float | None = None,
-) -> float:
-    """Root of strictly decreasing ``f`` on [lo, hi] with f(lo) > 0 > f(hi).
-
-    The first iterate is ``start`` if given, else the middle of the bracket.
-    Newton iterates are confined to the current bracket; any step that
-    escapes it, lands below ``newton_floor``, or lacks a usable derivative
-    is replaced by bisection. ``df`` is called only at the x that ``f`` was
-    just called at. Terminates on |f| <= ftol or bracket collapse.
-    """
-    x = 0.5 * (lo + hi) if start is None else start
-    for _ in range(max_iter):
-        fx = f(x)
-        if abs(fx) <= ftol:
-            return x
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= xtol_rel * hi:
-            return 0.5 * (lo + hi)
-        x_new = None
-        if df is not None and x > newton_floor:
-            slope = df(x)
-            if slope != 0.0:
-                candidate = x - fx / slope
-                if lo < candidate < hi:
-                    x_new = candidate
-        x = 0.5 * (lo + hi) if x_new is None else x_new
-    raise ConvergenceError(
-        f"root finder did not converge in {max_iter} iterations "
-        f"(bracket [{lo:.3e}, {hi:.3e}])"
-    )
 
 
 def solve_bose_equation(order: float, log_prefactor: float, target: float, T: float) -> float:
@@ -91,9 +49,11 @@ def solve_bose_equation(order: float, log_prefactor: float, target: float, T: fl
     side of the transition). target must be a normal double and
     log_prefactor finite (``DomainError`` otherwise). The solve stops at
     |ln(prefactor g_order / target)| <= _LOG_TOL, which holds the relative
-    residual of the linear equation to about _LOG_TOL too. From
-    L = ln(prefactor / target) = CLASSICAL_Y on, the root is L itself and no
-    Bose function is evaluated, also where g_order(y*) underflows.
+    residual of the linear equation to about _LOG_TOL too, or once the
+    bracket collapses; after _MAX_ITER iterates it raises
+    ``ConvergenceError``. From L = ln(prefactor / target) = CLASSICAL_Y on,
+    the root is L itself and no Bose function is evaluated, also where
+    g_order(y*) underflows.
     """
     if not (math.isfinite(log_prefactor) and _FLOAT_MIN <= target < math.inf):
         raise DomainError(
@@ -103,29 +63,37 @@ def solve_bose_equation(order: float, log_prefactor: float, target: float, T: fl
     log_ratio = log_prefactor - math.log(target)  # L
     if log_ratio >= CLASSICAL_Y:  # the bracket below is [L, L] in doubles
         return log_ratio * T
-    g_order = 0.0  # g_order at the latest residual, for the slope at the same r
-
-    def residual(r: float) -> float:
-        nonlocal g_order
-        g_order = bose_g(order, r / T).value
-        return math.log(g_order) + log_ratio
-
-    def residual_slope(r: float) -> float:
-        # d/dr ln g_order(r/T) = -g_(order-1)(r/T) / (T g_order(r/T))
-        return -_bose_any_order(order - 1.0, r / T).value / (T * g_order)
-
     y_lo = max(log_ratio, 0.0)
     y_hi = y_lo + math.log1p(math.exp(-abs(log_ratio)))  # ln(1 + e^L)
-    start = None
+    lo, hi = y_lo * T, y_hi * T
+    r = 0.5 * (lo + hi)
     if log_ratio > 0.0:
         # z + z^2 / 2^order = e^-L, the first two terms of g_order, for z = e^-y
         w = math.exp(-log_ratio)
         y0 = -math.log(2.0 * w / (1.0 + math.sqrt(1.0 + 4.0 * 2.0**-order * w)))
         if y_lo < y0 < y_hi:
-            start = y0 * T
+            r = y0 * T
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
-    return find_root_decreasing(
-        residual, residual_slope, y_lo * T, y_hi * T,
-        ftol=_LOG_TOL, newton_floor=floor, start=start,
+    for _ in range(_MAX_ITER):
+        g_order = bose_g(order, r / T).value
+        phi = math.log(g_order) + log_ratio
+        if abs(phi) <= _LOG_TOL:
+            return r
+        if phi > 0.0:
+            lo = r
+        else:
+            hi = r
+        if hi - lo <= _XTOL_REL * hi:
+            return 0.5 * (lo + hi)
+        newton = None
+        if r > floor:
+            # d phi / dr = -g_(order-1)(r/T) / (T g_order(r/T))
+            slope = -_bose_any_order(order - 1.0, r / T).value / (T * g_order)
+            if slope != 0.0:
+                newton = r - phi / slope
+        r = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"root finder did not converge in {_MAX_ITER} iterations "
+        f"(bracket [{lo:.3e}, {hi:.3e}])"
     )

@@ -7,20 +7,22 @@ The Bose function is the series
 which reduces to zeta(nu) at y = 0 for nu > 1 and diverges there for
 nu <= 1 (the signal for zero-temperature condensation).
 
-Two routes cover every real order, neither needing more than ~40 terms:
+Two routes cover every real order:
 
-* y >= SMALL_Y_SWITCH (= 1): the series itself, by Horner's rule in
+* y >= SMALL_Y_SWITCH (= 0.5): the series itself, by Horner's rule in
   z = e^-y (one exp per call), with a rigorous geometric tail bound and a
-  proven round-off bound; the powers n^-nu are cached per order;
+  proven round-off bound; the powers n^-nu are cached per order, at most
+  81 of them for nu in (-1, 8];
 * y < SMALL_Y_SWITCH: the small-argument (Robinson) expansion
 
       g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_{k >= 0} (-y)^k zeta(nu - k) / k!
 
-  whose terms fall by y / 2 pi per step; its zeta coefficients are cached
-  per order. For nu within _MERGE_TOL of an integer n >= 1 its two pole
-  terms (the Gamma lead and k = n - 1) are merged analytically. At nu = n
-  this is the logarithmic form (J. E. Robinson, Phys. Rev. 83, 678 (1951);
-  D. C. Wood, Univ. of Kent TR 15-92 (1992))
+  whose terms fall by y / 2 pi per step, so it needs at most ~40 terms;
+  its zeta coefficients are cached per order. For nu within _MERGE_TOL of
+  an integer n >= 1 its two pole terms (the Gamma lead and k = n - 1) are
+  merged analytically. At nu = n this is the logarithmic form
+  (J. E. Robinson, Phys. Rev. 83, 678 (1951); D. C. Wood, Univ. of Kent
+  TR 15-92 (1992))
 
       g_n(y) = (-y)^(n-1) / (n-1)! [H_(n-1) - ln y] + sum_{k != n-1} (-y)^k zeta(n - k) / k! .
 
@@ -48,8 +50,11 @@ from .errors import DivergentValue, DomainError, PoleError
 _EPS = sys.float_info.epsilon
 
 # Below this argument the small-argument expansion replaces the direct
-# series; both need about 20 (expansion) to 36 (series) terms at the switch.
-SMALL_Y_SWITCH = 1.0
+# series. At the switch the expansion needs about 16 terms and the series
+# 72 to 81 (nu in (-1, 8]), but a Horner step costs far less than an
+# expansion term: on y in [0.5, 1) a series call takes about 4-10 us and an
+# expansion call 7-13 us (2-vCPU host, Python 3.11).
+SMALL_Y_SWITCH = 0.5
 
 # From this argument on g_nu(y) = e^-y to double precision for every order
 # nu >= 0: the n >= 2 terms add at most e^-y / (1 - e^-y) < eps / 2 of it.
@@ -61,7 +66,7 @@ CLASSICAL_Y = 37.0
 # 3e-16 / |nu - n| of y^(n-1) / (n-1)!, which stays below 3e-13 outside it.
 _MERGE_TOL = 1e-3
 
-# Expansion coefficients cached per order; terms fall by y / 2 pi < 0.16
+# Expansion coefficients cached per order; terms fall by y / 2 pi < 0.08
 # per step below the switch, so the sum stops before this.
 _KMAX_ADAPTIVE = 40
 

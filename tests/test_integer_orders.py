@@ -21,24 +21,24 @@ from bose_eos import (
     solve_gap_isobar,
     solve_gap_isochore,
 )
-from bose_eos.special import SMALL_Y_SWITCH
+from bose_eos.special import SMALL_Y_SWITCH, _series_powers
 
 CONSTRAINT_RTOL = 1e-10
-# Terms per call: the small-y expansion needs about twenty at the switch;
-# the direct series, used only from SMALL_Y_SWITCH up, about 36 there.
-SMALL_Y_MAX_TERMS = 100
-SERIES_MAX_TERMS = 40
+# Terms per call: the small-y expansion needs about sixteen at the switch;
+# the direct series, used from SMALL_Y_SWITCH up, no more than its a-priori
+# count there, the powers it caches per order (72 to 81).
+SMALL_Y_MAX_TERMS = 40
 
 
 @pytest.fixture
 def term_log(monkeypatch):
-    """Record (y, terms_used) of every Bose function call the solvers make."""
+    """Record (nu, y, terms_used) of every Bose function call the solvers make."""
     calls = []
 
     def recorder(fn):
         def wrapped(nu, y):
             res = fn(nu, y)
-            calls.append((y, res.terms_used))
+            calls.append((nu, y, res.terms_used))
             return res
 
         return wrapped
@@ -53,9 +53,9 @@ def term_log(monkeypatch):
 
 def _assert_cheap(calls):
     assert calls
-    for y, terms in calls:
-        limit = SMALL_Y_MAX_TERMS if y < SMALL_Y_SWITCH else SERIES_MAX_TERMS
-        assert terms <= limit, (y, terms)
+    for nu, y, terms in calls:
+        limit = SMALL_Y_MAX_TERMS if y < SMALL_Y_SWITCH else len(_series_powers(nu))
+        assert terms <= limit, (nu, y, terms)
 
 
 def _isochore_residual(spec, t, rho=1.0):

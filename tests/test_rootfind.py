@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 
 import bose_eos.rootfind
 from bose_eos import (
+    ConvergenceError,
     DomainError,
     GasSpec,
     SweepRequest,
     bose_g,
     critical_temperature_density,
     critical_temperature_pressure,
+    density_at,
     run_sweep,
     solve_gap_isobar,
     solve_gap_isochore,
@@ -104,6 +106,28 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
     assert len(per_solve) == 24
     assert sum(per_solve) / len(per_solve) <= 5.6, per_solve
     assert max(per_solve) <= 9, per_solve
+
+
+@pytest.mark.xfail(raises=ConvergenceError, strict=True, reason="ROADMAP F, near-T_c half")
+def test_isochore_next_to_tc_at_d_over_sigma_just_above_one():
+    # y* ~ t^(1 / (d/sigma - 1)) ~ 1e-123 here: below the Newton floor the solve
+    # bisects linearly and runs out of its 400 iterations after a few ms
+    spec = GasSpec(d=1.053, sigma=1.0)
+    T = (1.0 + 2.3e-7) * critical_temperature_density(spec, 1.0)
+    pt = solve_gap_isochore(spec, T, 1.0)
+    assert pt.regime == "normal" and pt.r > 0.0
+    assert density_at(spec, T, pt.r) == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("solve", [solve_gap_isochore, solve_gap_isobar])
+def test_iteration_cap_is_a_convergence_error_naming_the_state(monkeypatch, solve):
+    monkeypatch.setattr(bose_eos.rootfind, "_MAX_ITER", 2)
+    kind = "isochore" if solve is solve_gap_isochore else "isobar"
+    with pytest.raises(ConvergenceError, match=(
+        rf"^{kind} gap solve failed at d=3.0, sigma=2.0, T=5.0, (rho|P)=1.0: "
+        r"root finder did not converge in 2 iterations \(bracket \[\d"
+    )):
+        solve(GasSpec(d=3.0, sigma=2.0), 5.0, 1.0)
 
 
 def _exact_gap(order: float, log_prefactor, log_target) -> float:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bose_eos import (
     DivergentValue,
@@ -17,7 +19,13 @@ from bose_eos import (
     series_sum_highprec,
     zeta,
 )
-from bose_eos.special import CLASSICAL_Y, SMALL_Y_SWITCH, _bose_any_order
+from bose_eos.special import (
+    CLASSICAL_Y,
+    SMALL_Y_SWITCH,
+    _bose_any_order,
+    _series_powers,
+    _series_terms_needed,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -138,6 +146,12 @@ def test_small_y_expansion_consistency_grid():
             assert abs(res.value - ref) <= res.est_error + 1e-12, (nu, y)
 
 
+def _route_max_terms(nu, y):
+    """Terms a call may spend: the expansion's 40 coefficients below the switch,
+    the series' a-priori count at the switch (its cached powers) from there up."""
+    return 40 if y < SMALL_Y_SWITCH else len(_series_powers(nu))
+
+
 def test_small_y_expansion_against_mpmath():
     # Non-integer orders, the slope orders in (-1, 0] included, where the
     # coefficients fall like 1/k! up to k ~ nu before they fall by 2 pi per
@@ -153,7 +167,8 @@ def test_small_y_expansion_against_mpmath():
             res = _bose_any_order(nu, y)
             ref = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
             assert abs(res.value - ref) <= res.est_error, (nu, y, res)
-            assert res.terms_used <= 40, (nu, y, res)
+            # (7.999, 0.5), (-0.999, 0.99) and the draws from y = 0.5 up take the series
+            assert res.terms_used <= _route_max_terms(nu, y), (nu, y, res)
             if nu > 0.0:
                 # g_nu grows like y^(nu - 1) for nu < 1, so the bound is relative there
                 assert res.est_error <= 1e-12 * max(1.0, abs(ref)), (nu, y, res)
@@ -171,16 +186,51 @@ def test_series_route_against_mpmath():
     edges = [SMALL_Y_SWITCH, math.nextafter(SMALL_Y_SWITCH, 2.0), math.nextafter(CLASSICAL_Y, 0.0)]
     cases = [(nu, y) for nu in orders for y in edges]
     log_y_max = math.log(CLASSICAL_Y)
-    cases += [(nu, math.exp(rng.uniform(0.0, log_y_max))) for nu in orders for _ in range(16)]
+    log_y_min = math.log(SMALL_Y_SWITCH)
+    cases += [(nu, math.exp(rng.uniform(log_y_min, log_y_max))) for nu in orders for _ in range(16)]
     assert len(cases) >= 1000
     with mpmath.workdps(40):
         for nu, y in cases:
             res = _bose_any_order(nu, y)
             ref = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
             assert abs(res.value - ref) <= res.est_error, (nu, y, res)
-            assert res.terms_used <= 40, (nu, y, res)
+            assert res.terms_used <= len(_series_powers(nu)), (nu, y, res)
             if nu > 0.0:
                 assert res.est_error <= 1e-13 * abs(ref), (nu, y, res)
+
+
+def test_both_sides_of_the_switch_against_mpmath():
+    # The expansion on [0.25, 0.5) and the series on [0.5, 1): integer and
+    # near-integer orders, and the slope orders in (-1, 0] the Newton step uses.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(15)
+    orders = [n + offset for n in range(0, 9) for offset in (0.0, 1e-9, -1e-9, 1e-4, -1e-4)]
+    orders = [nu for nu in orders if -1.0 < nu <= 8.0]
+    orders += [-rng.random() for _ in range(8)]  # (-1, 0]
+    ys = [0.25, math.nextafter(SMALL_Y_SWITCH, 0.0), SMALL_Y_SWITCH]
+    ys += [math.nextafter(SMALL_Y_SWITCH, 1.0), math.nextafter(1.0, 0.0)]
+    ys += [rng.uniform(0.25, SMALL_Y_SWITCH) for _ in range(6)]
+    ys += [rng.uniform(SMALL_Y_SWITCH, 1.0) for _ in range(6)]
+    with mpmath.workdps(40):
+        for nu in orders:
+            for y in ys:
+                res = _bose_any_order(nu, y)
+                ref = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
+                assert abs(res.value - ref) <= res.est_error, (nu, y, res)
+                assert res.terms_used <= _route_max_terms(nu, y), (nu, y, res)
+                if nu > 0.0:
+                    assert res.est_error <= 1e-12 * max(1.0, abs(ref)), (nu, y, res)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    nu=st.floats(min_value=-1.0, max_value=8.0, exclude_min=True),
+    y=st.floats(min_value=SMALL_Y_SWITCH, max_value=750.0),
+)
+def test_series_term_count_fits_the_cached_powers(nu, y):
+    # The count falls as y grows, so the powers sized at the switch serve every
+    # series call and none rebuilds them.
+    assert _series_terms_needed(nu, y, -math.expm1(-y)) <= len(_series_powers(nu))
 
 
 @pytest.mark.parametrize("y", [712.3, 720.1, 740.0, 745.5])
@@ -295,7 +345,7 @@ def test_small_y_switch_edges_agree():
         below = bose_g(nu, np.nextafter(SMALL_Y_SWITCH, 0.0))
         above = bose_g(nu, SMALL_Y_SWITCH)
         assert abs(below.value - above.value) <= below.est_error + above.est_error + 1e-15
-        assert below.terms_used <= 30 < above.terms_used <= 40
+        assert below.terms_used <= 30 < above.terms_used <= len(_series_powers(nu))
 
 
 def test_eval_result_is_a_named_tuple():
