@@ -191,7 +191,7 @@ def correlation_quantities(spec: GasSpec, r: float) -> CorrelationQuantities:
     reported as infinity and chi(k) becomes the pure power law whose
     log-log slope is -(2 - eta) with eta = 2 - sigma.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
     c = dispersion_coefficient(spec)
     sigma = spec.sigma

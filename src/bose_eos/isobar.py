@@ -8,7 +8,7 @@ which has a solution with r >= 0 exactly for T >= T_c(P). Unlike the
 constant-density case, the transition temperature is finite for every d > 0.
 The state below T_c(P) is deliberately not modelled: the solvers raise
 :class:`CondensedRegion` instead of extrapolating, and only the coexistence
-boundary itself is exposed.
+boundary itself is exposed. States come from isochore's normal-state core.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CondensedRegion, ConvergenceError, DomainError
+from .errors import CondensedRegion, DomainError
 from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
-from .gas import _density_prefactor, _log_prefactor, _natural_constraint, _scales, _spec_constraint
-from .gas import prefactor_A
+from .gas import _natural_constraint, prefactor_A
 from .isochore import (
     CRITICAL_WINDOW,
     REGIME_NORMAL,
+    _normal_state,
     critical_temperature_density,
     pressure_at,
 )
-from .rootfind import solve_bose_equation
-from .special import CLASSICAL_Y, bose_g, zeta
+from .special import zeta
 
 REGIME_BOUNDARY = "condensed_boundary"
 
@@ -98,52 +97,20 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
 def _isobar_state(
     spec: GasSpec, T: float, P: float, tc: float, target: float | None, a: float | None
 ) -> IsobarPoint | None:
-    """solve_gap_isobar at T > 0 from the constants P fixes; None below T_c(P).
-
-    tc is T_c(P); target (P in natural units) and a (A(d, sigma)) come from
-    gas._constraint_constants. Sweeps compute them once for all rows.
-    """
+    """solve_gap_isobar at T > 0 from tc = T_c(P) and _normal_state's constants; None below."""
     t_P = (T - tc) / tc
     if t_P < -CRITICAL_WINDOW:
         return None
-    energy, _ = _scales(spec)
-    nu = spec.d_over_sigma
     boundary = abs(t_P) <= CRITICAL_WINDOW
-    r_nat = 0.0
-    try:
-        if not boundary:
-            if target is None:  # raises P's DomainError, which gets the state below
-                target = _natural_constraint(spec, P, 1)
-            r_nat = solve_bose_equation(nu + 1.0, _log_prefactor(spec, T, 1, a), target, T)
-        classical = r_nat / T >= CLASSICAL_Y
-        pref = None if classical else _density_prefactor(spec, T, a)
-    except (ConvergenceError, DomainError) as exc:
-        raise type(exc)(
-            f"isobar gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
-            f"T={T!r}, P={P!r}: {exc}"
-        ) from exc
-
-    if boundary:
-        regime = REGIME_BOUNDARY
-        # the coexistence density diverges for d <= sigma
-        rho = _spec_constraint(spec, pref * zeta(nu), 0) if spec.d > spec.sigma else math.inf
-    elif classical:  # g_nu = g_(nu+1) to double precision: rho = P / k_B T
-        regime, rho = REGIME_NORMAL, P / (T * energy)
-    else:
-        regime, rho = REGIME_NORMAL, _spec_constraint(spec, pref * bose_g(nu, r_nat / T).value, 0)
-    if rho == math.inf and not (boundary and spec.d <= spec.sigma):
-        raise DomainError(
-            f"isobar state at d={spec.d!r}, sigma={spec.sigma!r}, T={T!r}, P={P!r} "
-            "has a density outside the double range"
-        )
+    r, rho = _normal_state(spec, T, P, 1, not boundary, target, a)
     return IsobarPoint(
         T=T,
         P=P,
-        r=r_nat * energy,
+        r=r,
         rho=rho,
         v=1.0 / rho if rho else math.inf,  # 0 where rho diverges, inf where it underflows
         t_P=t_P,
-        regime=regime,
+        regime=REGIME_BOUNDARY if boundary else REGIME_NORMAL,
     )
 
 

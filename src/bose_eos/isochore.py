@@ -8,7 +8,9 @@ is inverted for the gap r = -mu in the normal phase, or solved for the
 condensate fraction Psi^2 with r = 0 below the transition. The critical
 temperature follows from the r = 0, Psi = 0 boundary and exists only for
 d > sigma; otherwise condensation happens at absolute zero and the solvers
-raise :class:`ZeroTemperatureBEC`.
+raise :class:`ZeroTemperatureBEC`. The states of this solver and the isobar's
+come from the core ``_normal_state``, whose evaluator ``_constraint_at`` also
+gives ``pressure_at`` and ``density_at``.
 """
 
 from __future__ import annotations
@@ -83,13 +85,7 @@ def pressure_at(spec: GasSpec, T: float, r: float) -> float:
     The grand-potential pressure at gap r; monotone decreasing in r, with
     the r = 0 value giving the coexistence pressure at temperature T.
     """
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got T={T!r}")
-    if r < 0.0:
-        raise DomainError(f"gap must be >= 0, got r={r!r}")
-    energy, _ = _scales(spec)
-    g = bose_g(spec.d_over_sigma + 1.0, r / energy / T).value
-    return _spec_constraint(spec, T * _density_prefactor(spec, T) * g, 1)
+    return _constraint_at(spec, T, _natural_gap(spec, T, r), 1)
 
 
 def density_at(spec: GasSpec, T: float, r: float) -> float:
@@ -98,13 +94,36 @@ def density_at(spec: GasSpec, T: float, r: float) -> float:
     The thermal part of the density constraint at gap r; feeding a solved
     gap back in must reproduce the constrained density.
     """
+    return _constraint_at(spec, T, _natural_gap(spec, T, r), 0)
+
+
+def _natural_gap(spec: GasSpec, T: float, r: float) -> float:
+    """r in natural units, after the T > 0 and r >= 0 checks (NaN fails them)."""
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
-    energy, _ = _scales(spec)
-    g = bose_g(spec.d_over_sigma, r / energy / T).value
-    return _spec_constraint(spec, _density_prefactor(spec, T) * g, 0)
+    return r / _scales(spec)[0]
+
+
+def _constraint_at(
+    spec: GasSpec, T: float, r_nat: float, k: int, pref: float | None = None
+) -> float:
+    """The density (k = 0) or pressure (k = 1) T^k lambda_T^-d A g_(d/sigma + k)(r_nat / T).
+
+    In spec units, at the natural gap r_nat; pref is lambda_T^-d A if the
+    caller holds it. Without pref, as for the public evaluators, a value
+    past the doubles is a DomainError; the state solvers name their state.
+    """
+    g = bose_g(spec.d_over_sigma + k, r_nat / T).value
+    public = pref is None
+    value = _spec_constraint(spec, T**k * (_density_prefactor(spec, T) if public else pref) * g, k)
+    if value < math.inf or not public:
+        return value
+    raise DomainError(
+        f"{('rho', 'P')[k]} = {value!r} is outside the double range "
+        f"(d={spec.d:g}, sigma={spec.sigma:g}, T={T!r})"
+    )
 
 
 def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
@@ -123,45 +142,60 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
 def _isochore_state(
     spec: GasSpec, T: float, rho: float, tc: float, target: float | None, a: float | None
 ) -> ThermoPoint:
-    """solve_gap_isochore at T > 0 from the constants rho fixes.
-
-    tc is T_c(rho); target (rho in natural units) and a (A(d, sigma)) come
-    from gas._constraint_constants. Sweeps compute them once for all rows.
-    """
+    """solve_gap_isochore at T > 0 from tc = T_c(rho) and the constants of _normal_state."""
     t = (T - tc) / tc
-    energy, _ = _scales(spec)
-    nu = spec.d_over_sigma
-    r_nat = psi2 = 0.0
+    psi2 = 0.0
     if abs(t) <= CRITICAL_WINDOW:
         regime = REGIME_CRITICAL
     elif t < 0.0:
         regime = REGIME_CONDENSED
-        psi2 = _condensed_fraction(nu, T / tc)
+        psi2 = _condensed_fraction(spec.d_over_sigma, T / tc)
     else:
         regime = REGIME_NORMAL
+    r, P = _normal_state(spec, T, rho, 0, regime == REGIME_NORMAL, target, a)
+    return ThermoPoint(T=T, t=t, r=r, psi2=psi2, rho=rho, P=P, regime=regime)
+
+
+def _normal_state(
+    spec: GasSpec, T: float, value: float, k: int, solve: bool,
+    target: float | None, a: float | None,
+) -> tuple[float, float]:
+    """(r, conjugate) in spec units at T and a held density (k = 0) or pressure (k = 1).
+
+    r solves value = T^k lambda_T^-d A g_(d/sigma + k)(r / T) if solve, else
+    r = 0; the conjugate is the pressure or the density. target (value in
+    natural units) and a (A(d, sigma)) come from gas._constraint_constants,
+    which sweeps call once for all rows. Errors name d, sigma, T and value.
+    """
+    nu = spec.d_over_sigma
+    r_nat = 0.0
     try:
-        if regime == REGIME_NORMAL:
-            if target is None:  # raises rho's DomainError, which gets the state below
-                target = _natural_constraint(spec, rho, 0)
-            r_nat = solve_bose_equation(nu, _log_prefactor(spec, T, 0, a), target, T)
+        if solve:
+            if target is None:  # raises value's DomainError, which gets the state below
+                target = _natural_constraint(spec, value, k)
+            r_nat = solve_bose_equation(nu + k, _log_prefactor(spec, T, k, a), target, T)
         classical = r_nat / T >= CLASSICAL_Y
         pref = None if classical else _density_prefactor(spec, T, a)
     except (ConvergenceError, DomainError) as exc:
         raise type(exc)(
-            f"isochore gap solve failed at d={spec.d!r}, sigma={spec.sigma!r}, "
-            f"T={T!r}, rho={rho!r}: {exc}"
+            f"{('isochore', 'isobar')[k]} gap solve failed at d={spec.d!r}, "
+            f"sigma={spec.sigma!r}, T={T!r}, {('rho', 'P')[k]}={value!r}: {exc}"
         ) from exc
 
+    energy, _ = _scales(spec)
     if classical:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
-        P = T * rho * energy
+        conjugate = T * value * energy if k == 0 else value / (T * energy)
+    elif k and not solve and spec.d <= spec.sigma:  # the r = 0 density diverges
+        return 0.0, math.inf
     else:
-        P = _spec_constraint(spec, T * pref * bose_g(nu + 1.0, r_nat / T).value, 1)
-    if P == math.inf:
+        conjugate = _constraint_at(spec, T, r_nat, 1 - k, pref)
+    if conjugate == math.inf:
         raise DomainError(
-            f"isochore state at d={spec.d!r}, sigma={spec.sigma!r}, T={T!r}, rho={rho!r} "
-            "has a pressure outside the double range"
+            f"{('isochore', 'isobar')[k]} state at d={spec.d!r}, sigma={spec.sigma!r}, "
+            f"T={T!r}, {('rho', 'P')[k]}={value!r} has a {('pressure', 'density')[k]} "
+            "outside the double range"
         )
-    return ThermoPoint(T=T, t=t, r=r_nat * energy, psi2=psi2, rho=rho, P=P, regime=regime)
+    return r_nat * energy, conjugate
 
 
 def grand_potential(
@@ -180,10 +214,7 @@ def grand_potential(
     Satisfies dOmega = -S dT + N dr - 2 Psi dh with Psi = h / (N r), which
     is what fixes the susceptibility 1 / (N r).
     """
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got T={T!r}")
-    if r < 0.0:
-        raise DomainError(f"gap must be >= 0, got r={r!r}")
+    r_nat = _natural_gap(spec, T, r)
     if not volume > 0.0:
         raise DomainError(f"volume must be positive, got {volume!r}")
     if not n_particles > 0.0:
@@ -191,11 +222,9 @@ def grand_potential(
     if h != 0.0 and r == 0.0:
         raise PoleError("the source-field term has a 1/r pole; need r > 0 when h != 0")
     energy, _ = _scales(spec)
-    r_nat = r / energy
     h_nat = h / energy
-    g = bose_g(spec.d_over_sigma + 1.0, r_nat / T).value
     # -V P in spec units: 1/V in natural units may leave the normal doubles
-    omega = -volume * _spec_constraint(spec, T * _density_prefactor(spec, T) * g, 1)
+    omega = -volume * _constraint_at(spec, T, r_nat, 1)
     if h_nat != 0.0:
         omega -= h_nat * h_nat / (n_particles * r_nat) * energy
     return omega
@@ -218,7 +247,7 @@ def _condensed_fraction(nu: float, ratio: float) -> float:
 
 def susceptibility(r: float, n_particles: float = 1.0) -> float:
     """Order-parameter susceptibility chi_T = 1 / (N r), divergent at r = 0."""
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
     if r == 0.0:
         return math.inf

@@ -55,6 +55,8 @@ class SweepRequest:
             raise DomainError(
                 f"need 0 < T_min < T_max, got T_min={self.T_min!r}, T_max={self.T_max!r}"
             )
+        if self.T_max == math.inf:
+            raise DomainError(f"T_max must be finite, got T_max={self.T_max!r}")
         if self.points < 2:
             raise DomainError(f"need at least 2 grid points, got {self.points!r}")
         if self.spacing not in _SPACINGS:
@@ -136,57 +138,6 @@ def temperature_grid(request: SweepRequest) -> list[float]:
     return spaced(request.T_min, request.T_max, request.points)
 
 
-def _isochore_rows(spec: GasSpec, rho: float, grid: list[float]) -> list[dict]:
-    tc = critical_temperature_density(spec, rho)
-    constants = _constraint_constants(spec, rho, 0)
-    rows = []
-    for T in grid:
-        pt = _isochore_state(spec, T, rho, tc, *constants)
-        rows.append({
-            "T": pt.T,
-            "t": pt.t,
-            "r": pt.r,
-            "mu": pt.mu,
-            "psi2": pt.psi2,
-            "rho": pt.rho,
-            "P": pt.P,
-            "regime": pt.regime,
-        })
-    return rows
-
-
-def _isobar_rows(spec: GasSpec, P: float, grid: list[float]) -> list[dict]:
-    tc = critical_temperature_pressure(spec, P)
-    constants = _constraint_constants(spec, P, 1)
-    rows = []
-    for T in grid:
-        pt = _isobar_state(spec, T, P, tc, *constants)
-        if pt is None:
-            # No state is produced below T_c(P); keep the grid row as a sentinel.
-            rows.append({
-                "T": T,
-                "t": T / tc - 1.0,
-                "r": None,
-                "mu": None,
-                "psi2": None,
-                "rho": None,
-                "P": P,
-                "regime": REGIME_BOUNDARY,
-            })
-            continue
-        rows.append({
-            "T": pt.T,
-            "t": pt.t_P,
-            "r": pt.r,
-            "mu": pt.mu,
-            "psi2": 0.0,
-            "rho": pt.rho,
-            "P": pt.P,
-            "regime": pt.regime,
-        })
-    return rows
-
-
 def run_sweep(request: SweepRequest) -> SweepTable:
     """Solve the sweep grid and return rows ordered by temperature.
 
@@ -194,6 +145,36 @@ def run_sweep(request: SweepRequest) -> SweepTable:
     computed once per request; each row then takes the same solver core as
     solve_gap_isochore or solve_gap_isobar, so it equals that point solve.
     """
-    rows_of = _isochore_rows if request.constraint == CONSTRAINT_DENSITY else _isobar_rows
-    rows = rows_of(request.spec, request.value, temperature_grid(request))
+    spec, value = request.spec, request.value
+    isobar = request.constraint == CONSTRAINT_PRESSURE
+    if isobar:
+        tc, state_at = critical_temperature_pressure(spec, value), _isobar_state
+    else:
+        tc, state_at = critical_temperature_density(spec, value), _isochore_state
+    constants = _constraint_constants(spec, value, int(isobar))
+    rows = []
+    for T in temperature_grid(request):
+        pt = state_at(spec, T, value, tc, *constants)
+        if pt is None:  # no isobar state below T_c(P): the grid row is a sentinel
+            rows.append({
+                "T": T,
+                "t": T / tc - 1.0,
+                "r": None,
+                "mu": None,
+                "psi2": None,
+                "rho": None,
+                "P": value,
+                "regime": REGIME_BOUNDARY,
+            })
+            continue
+        rows.append({
+            "T": pt.T,
+            "t": pt.t_P if isobar else pt.t,
+            "r": pt.r,
+            "mu": pt.mu,
+            "psi2": 0.0 if isobar else pt.psi2,
+            "rho": pt.rho,
+            "P": pt.P,
+            "regime": pt.regime,
+        })
     return SweepTable(columns=tuple(request.columns), rows=tuple(rows))

@@ -135,8 +135,9 @@ def test_correlation_length_and_susceptibility():
     assert corr.chi(0.0) == pytest.approx(1.0 / r, rel=1e-13)
     assert corr.chi(1.0) == pytest.approx(1.0 / (c + r), rel=1e-13)
     assert correlation_quantities(SPEC32, 0.0).xi == math.inf
-    with pytest.raises(DomainError):
-        correlation_quantities(SPEC32, -0.1)
+    for r in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            correlation_quantities(SPEC32, r)
 
 
 def test_critical_susceptibility_power_law():

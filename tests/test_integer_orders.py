@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-import bose_eos.isobar
+import bose_eos.isochore
 import bose_eos.rootfind
 from bose_eos import (
     GasSpec,
@@ -47,7 +47,7 @@ def term_log(monkeypatch):
     monkeypatch.setattr(
         bose_eos.rootfind, "_bose_any_order", recorder(bose_eos.rootfind._bose_any_order)
     )
-    monkeypatch.setattr(bose_eos.isobar, "bose_g", recorder(bose_eos.isobar.bose_g))
+    monkeypatch.setattr(bose_eos.isochore, "bose_g", recorder(bose_eos.isochore.bose_g))
     return calls
 
 

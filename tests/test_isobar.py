@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import bose_eos.isobar
+import bose_eos.isochore
 from bose_eos import (
     CondensedRegion,
     ConvergenceError,
@@ -17,6 +17,7 @@ from bose_eos import (
     density_at,
     pressure_at,
     solve_gap_isobar,
+    solve_gap_isochore,
     zeta,
 )
 
@@ -148,6 +149,27 @@ def test_coexistence_closure(d, sigma):
         assert coexistence_consistency(spec, rho) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "d, sigma",
+    [(3.0, 2.0), (3.0, 1.5), (2.0, 1.0), (1.5, 1.0), (4.0, 2.0),
+     (5.0, 1.2), (2.2, 2.0), (10.0, 2.0), (3.0, 0.5), (6.0, 1.7)],
+)
+def test_isochore_at_the_isobar_density_returns_its_state(d, sigma):
+    # solve at P, then at the density that gives: the same P and r come back.
+    # r is ill-conditioned in rho as t_P -> 0 (5.2e-9 measured at t_P = 1e-6,
+    # 3.8e-11 at 1e-4, 2e-12 at 1e-3); P stays within 7e-14 throughout
+    for spec, P in ((GasSpec(d, sigma), 1.0), (GasSpec(d, sigma, 1e-26, "si"), 1e-3)):
+        tc = critical_temperature_pressure(spec, P)
+        for t_P in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3):
+            T = tc * (1.0 + t_P)
+            isobar = solve_gap_isobar(spec, T, P)
+            isochore = solve_gap_isochore(spec, T, isobar.rho)
+            assert isochore.regime == "normal"
+            assert isochore.P == pytest.approx(P, rel=1e-12, abs=0.0)
+            r_bound = 1e-10 if t_P >= 1e-4 else 1e-8
+            assert isochore.r == pytest.approx(isobar.r, rel=r_bound, abs=0.0)
+
+
 def test_coexistence_propagates_zero_temperature_regime():
     with pytest.raises(ZeroTemperatureBEC):
         coexistence_consistency(GasSpec(d=2.0, sigma=2.0), 1.0)
@@ -164,7 +186,7 @@ def test_convergence_error_names_the_failed_solve(monkeypatch):
     def fail(*args, **kwargs):
         raise ConvergenceError("root finder did not converge")
 
-    monkeypatch.setattr(bose_eos.isobar, "solve_bose_equation", fail)
+    monkeypatch.setattr(bose_eos.isochore, "solve_bose_equation", fail)
     tc = critical_temperature_pressure(SPEC32, 0.5)
     with pytest.raises(ConvergenceError) as info:
         solve_gap_isobar(SPEC32, 2.0 * tc, 0.5)

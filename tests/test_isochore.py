@@ -225,6 +225,26 @@ def test_validation_errors():
         grand_potential(SPEC32, 1.0, 0.5, volume=-1.0)
     with pytest.raises(DomainError):
         susceptibility(-0.5)
+    # a NaN gap fails r >= 0; the test r < 0 once let it through
+    for evaluator in (pressure_at, density_at, grand_potential):
+        with pytest.raises(DomainError, match="gap must be >= 0"):
+            evaluator(SPEC32, 1.0, math.nan)
+    with pytest.raises(DomainError, match="gap must be >= 0"):
+        susceptibility(math.nan)
+
+
+@pytest.mark.parametrize(
+    "evaluator, units",
+    [(pressure_at, "natural"), (grand_potential, "natural"), (density_at, "si")],
+)
+def test_evaluator_overflow_is_a_domain_error_naming_the_state(evaluator, units):
+    # at T = 1e200, T lambda_T^-d A ~ 1e498 in natural units, and the density
+    # lambda_T^-d A zeta(1.5) ~ 1.7e299 / L0^3 ~ 7e366 in SI; each once came back as +-inf
+    spec = GasSpec(d=3.0, sigma=2.0, mass=1.0, units=units)
+    with pytest.raises(DomainError) as info:
+        evaluator(spec, 1e200, 0.0)
+    for part in ("d=3", "sigma=2", "T=1e+200", "double range"):
+        assert part in str(info.value)
 
 
 def test_convergence_error_names_the_failed_solve(monkeypatch):

@@ -52,6 +52,7 @@ def density_request(**overrides) -> SweepRequest:
         {"spacing": "quadratic"},
         {"columns": ("T", "speed")},
         {"columns": ()},
+        {"T_max": math.inf},
     ],
 )
 def test_request_validation(overrides):
