@@ -4,7 +4,7 @@ eps(k) = hbar^2 k^sigma / 2m in d spatial dimensions.
 Closed-form critical temperatures at constant density and constant
 pressure, gap/condensate solvers for both constraints, the effective
 free energy and critical exponents of the constant-density transition,
-and independent numerical oracles (discrete box sums, brute-force
+and independent numerical oracles (discrete box sums, an Euler-Maclaurin
 series) that cross-check all of it.
 """
 

@@ -42,7 +42,6 @@ class LandauModel:
     C_f: float
     d_over_sigma: float
     t: float
-    valid_window: float
     T_c: float
     rho: float
     thermal_energy: float
@@ -88,9 +87,7 @@ class ExponentSet:
     fit_window: tuple[float, float]
 
 
-def landau_model(
-    spec: GasSpec, rho: float, t: float, valid_window: float = 0.01
-) -> LandauModel:
+def landau_model(spec: GasSpec, rho: float, t: float) -> LandauModel:
     """Build the effective free-energy model at reduced temperature t.
 
     Only the window sigma < d < 2 sigma is supported; outside it the
@@ -114,7 +111,6 @@ def landau_model(
         C_f=_spec_constraint(spec, cf_nat, 1),
         d_over_sigma=nu,
         t=t,
-        valid_window=valid_window,
         T_c=tc,
         rho=rho,
         thermal_energy=tc * (1.0 + t) * energy,
@@ -195,7 +191,13 @@ def correlation_quantities(spec: GasSpec, r: float) -> CorrelationQuantities:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
     c = dispersion_coefficient(spec)
     sigma = spec.sigma
-    xi = math.inf if r == 0.0 else (c / r) ** (1.0 / sigma)
+    try:
+        xi = math.inf if r == 0.0 else (c / r) ** (1.0 / sigma)
+    except OverflowError:
+        raise DomainError(
+            f"xi = (c/r)^(1/sigma) is outside the double range "
+            f"(d={spec.d:g}, sigma={sigma:g}, r={r!r})"
+        ) from None
 
     def chi(k: float) -> float:
         if k < 0.0:

@@ -115,9 +115,14 @@ def _constraint_at(
     caller holds it. Without pref, as for the public evaluators, a value
     past the doubles is a DomainError; the state solvers name their state.
     """
-    g = bose_g(spec.d_over_sigma + k, r_nat / T).value
+    y = r_nat / T
     public = pref is None
-    value = _spec_constraint(spec, T**k * (_density_prefactor(spec, T) if public else pref) * g, k)
+    if public and y >= CLASSICAL_Y:  # g = e^-y in doubles: the product in logs
+        natural = math.exp(_log_prefactor(spec, T, k) - y)
+    else:
+        g = bose_g(spec.d_over_sigma + k, y).value
+        natural = T**k * (_density_prefactor(spec, T) if public else pref) * g
+    value = _spec_constraint(spec, natural, k)
     if value < math.inf or not public:
         return value
     raise DomainError(

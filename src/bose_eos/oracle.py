@@ -3,27 +3,28 @@
 Three cross-check tools that deliberately share no algorithmic code with
 the implementations they verify: a discrete momentum sum over a periodic
 box (whose L -> infinity limit must reproduce the thermodynamic density
-formula), a brute-force compensated series summation for the Bose
-function with its own zeta evaluation, and finite-difference
-differentiation for stationarity and thermodynamic-identity checks.
+formula), an Euler-Maclaurin series sum for the Bose function with its
+own zeta evaluation, and finite-difference differentiation for
+stationarity and thermodynamic-identity checks. Standard library only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DivergentValue, DomainError
 from .gas import GasSpec, _scales, _spec_constraint
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Relative size below which the remaining mode tail is considered converged.
 _TAIL_RTOL = 1e-12
 # Largest per-axis cutoff the multiplicity construction will attempt.
 _N_MAX_CAP = 256
+# Largest x with a finite expm1(x); past it the occupation is 0.
+_EXPM1_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -45,54 +46,37 @@ class BoxSpec:
             raise DomainError(f"box dimension must be an integer in 1..3, got {self.d!r}")
         if not (self.L > 0.0):
             raise DomainError(f"box edge must be positive, got L={self.L!r}")
-        if self.n_max is not None and self.n_max < 1:
-            raise DomainError(f"mode cutoff must be >= 1, got n_max={self.n_max!r}")
+        if self.n_max is not None and not 1 <= self.n_max <= _N_MAX_CAP:
+            raise DomainError(f"mode cutoff must be in 1..{_N_MAX_CAP}, got n_max={self.n_max!r}")
 
 
-def _mode_multiplicities(d: int, n_max: int) -> np.ndarray:
+def _mode_multiplicities(d: int, n_max: int) -> array:
     """Count integer vectors n in [-n_max, n_max]^d by s = |n|^2.
 
-    Returns counts[s] for s = 0 .. d*n_max^2. Each added axis shifts the
-    counts so far by every square j^2 <= n_max^2 (twice for j > 0, for
-    +-j) and adds them up, n_max + 1 array adds per axis. Every entry
-    stays an exactly representable integer (no rounding), so the
-    summation order downstream is the only thing that matters for
-    reproducibility.
+    Returns counts[s] for s = 0 .. d*n_max^2, the coefficients of
+    (1 + 2 sum_(j <= n_max) x^(j^2))^d. The polynomial is packed into one
+    Python int, 32 bits a coefficient, and raised to the power d exactly.
+    No count reaches 2^32 ((2*256 + 1)^3 < 2^32 at the cutoff cap), so no
+    slot carries into the next and the unpacked counts are exact.
     """
-    import numpy as np
-
-    counts = np.ones(1)
-    for _ in range(d):
-        size = counts.size
-        grown = np.zeros(size + n_max * n_max)
-        grown[:size] = counts
-        twice = 2.0 * counts
-        for j in range(1, n_max + 1):
-            grown[j * j : j * j + size] += twice
-        counts = grown
-    return counts
-
-
-def _occupations(s_values: np.ndarray, eps_scale: float, sigma: float, r: float, T: float) -> np.ndarray:
-    """Bose occupations 1/(e^((eps+r)/T) - 1) for eps = eps_scale * s^(sigma/2)."""
-    import numpy as np
-
-    x = (eps_scale * s_values ** (sigma / 2.0) + r) / T
-    with np.errstate(over="ignore"):
-        return 1.0 / np.expm1(x)
+    axis = array("I", bytes(4 * (n_max * n_max + 1)))
+    axis[0] = 1
+    for j in range(1, n_max + 1):
+        axis[j * j] = 2
+    power = int.from_bytes(axis.tobytes(), sys.byteorder) ** d
+    return array("I", power.to_bytes(4 * (d * n_max * n_max + 1), sys.byteorder))
 
 
 def _box_sum(spec: GasSpec, L: float, T: float, r: float, n_max: int) -> float:
     """Total occupation over the mode cube [-n_max, n_max]^d, natural units."""
-    import numpy as np
-
-    d = int(spec.d)
-    counts = _mode_multiplicities(d, n_max)
-    s = np.arange(counts.size, dtype=float)
     eps_scale = (2.0 * math.pi / L) ** spec.sigma / (2.0 * spec.mass)
-    occ = _occupations(s, eps_scale, spec.sigma, r, T)
-    # Fixed ascending-s order and exact accumulation: byte-reproducible.
-    return math.fsum((counts * occ).tolist())
+    terms = []
+    for s, count in enumerate(_mode_multiplicities(int(spec.d), n_max)):
+        x = (eps_scale * s ** (spec.sigma / 2.0) + r) / T
+        if count and x <= _EXPM1_MAX:
+            terms.append(count * (1.0 / math.expm1(x)))
+    # Exact accumulation: byte-reproducible in any order.
+    return math.fsum(terms)
 
 
 def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
@@ -121,39 +105,33 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
 
     if box.n_max is not None:
         total = _box_sum(spec, L_nat, T, r_nat, box.n_max)
-        if box.n_max > 1:
-            shell = total - _box_sum(spec, L_nat, T, r_nat, box.n_max - 1)
-        else:
-            shell = total
+        shell = total - _box_sum(spec, L_nat, T, r_nat, box.n_max - 1)
         if shell > _TAIL_RTOL * total:
             raise ConvergenceError(
                 f"outermost mode shell still contributes {shell / total:.2e} "
                 f"of the sum at n_max={box.n_max}; increase n_max"
             )
-        n_used = box.n_max
     else:
         # Grow the cutoff until doubling it adds a negligible band; mode
         # energies increase monotonically and occupations decay at least
         # exponentially in energy, so the accepted band bounds the tail.
         n_used = 8
         total = _box_sum(spec, L_nat, T, r_nat, n_used)
-        while True:
-            if 2 * n_used > _N_MAX_CAP:
-                raise ConvergenceError(
-                    f"mode sum not converged at the cutoff cap n_max={_N_MAX_CAP}; "
-                    "box too large or temperature too high for the discrete oracle"
-                )
-            wider = _box_sum(spec, L_nat, T, r_nat, 2 * n_used)
+        while n_used < _N_MAX_CAP:
             n_used *= 2
-            if wider - total <= 0.1 * _TAIL_RTOL * wider:
-                total = wider
+            narrower, total = total, _box_sum(spec, L_nat, T, r_nat, n_used)
+            if total - narrower <= 0.1 * _TAIL_RTOL * total:
                 break
-            total = wider
+        else:
+            raise ConvergenceError(
+                f"mode sum not converged at the cutoff cap n_max={_N_MAX_CAP}; "
+                "box too large or temperature too high for the discrete oracle"
+            )
 
     return _spec_constraint(spec, total / L_nat ** int(spec.d), 0)
 
 
-# Bernoulli numbers B_2 .. B_20, used by the Euler-Maclaurin continuation.
+# Bernoulli numbers B_2 .. B_20, used by the Euler-Maclaurin corrections.
 _BERNOULLI_2K = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -166,27 +144,56 @@ _BERNOULLI_2K = (
     43867.0 / 798.0,
     -174611.0 / 330.0,
 )
-
+# Terms summed directly before Euler-Maclaurin takes over at n = _EM_START.
+_EM_START = 32
+# Exp-sinh nodes for the tail integral, x = N + c u with u = e^(pi/2 sinh t):
+# (u, h du/dt) at step h = 1/32 over |t| <= 4.5 (Takahasi and Mori 1974).
+_EXP_SINH = tuple(
+    (u, u * 0.5 * math.pi * math.cosh(k / 32.0) / 32.0)
+    for k in range(-144, 145)
+    for u in (math.exp(0.5 * math.pi * math.sinh(k / 32.0)),)
+)
+# Smallest y > 0 the series sum answers; below it the exp-sinh step no
+# longer resolves both the algebraic scale N and the exponential scale 1/y.
+_Y_FLOOR = 1e-9
 _ZETA_S_MIN = -15.0
 
 
-def _zeta_euler_maclaurin(s: float, n: int) -> float:
-    """Dirichlet head plus Euler-Maclaurin tail; accurate for s >= 0."""
-    head = math.fsum(k ** (-s) for k in range(1, n))
-    tail = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
-    corrections = []
-    rising = s  # (s)(s+1)...(s+2j-2)
-    factorial = 2.0  # (2j)!
-    for j, b2j in enumerate(_BERNOULLI_2K, start=1):
-        if j > 1:
-            rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
-            factorial *= (2 * j - 1) * (2 * j)
-        corrections.append(b2j / factorial * rising * n ** (-s - 2 * j + 1))
-    return head + tail + math.fsum(corrections)
+def _euler_maclaurin(nu: float, y: float) -> float:
+    """sum_(n >= 1) e^(-n y) n^(-nu) by Euler-Maclaurin from n = N = 32.
+
+    With f(x) = e^(-x y) x^(-nu): the head sum_(n < N) f(n), then f(N) times
+    1/2 + (B_2..B_20 corrections + int_N^inf f) / f(N). At y = 0 the integral
+    is N^(1-nu)/(nu-1), which continues zeta(nu) to nu >= 0; for y > 0 it is
+    exp-sinh quadrature on x = N + c u, c = max(N, 1/y).
+    """
+    n = _EM_START
+    head = math.fsum(math.exp(-k * y) * k ** (-nu) for k in range(1, n))
+    f_n = math.exp(-n * y) * n ** (-nu)
+    if f_n == 0.0:
+        return head  # the tail underflows with f(N)
+    if y == 0.0:
+        integral = n / (nu - 1.0)  # N^(1-nu)/(nu-1) over f(N)
+    else:
+        c = max(n, 1.0 / y)
+        integral = c * math.fsum(
+            w * math.exp(-c * u * y) * (1.0 + c * u / n) ** (-nu) for u, w in _EXP_SINH
+        )
+    # Leibniz's rule: f^(m)(N) = (-1)^m m! f(N) sum_k y^k/k! * (nu)_(m-k)/((m-k)! N^(m-k)),
+    # (nu)_i the rising factorial; every term has one sign.
+    exp_taylor, rising = [1.0], [1.0]
+    for k in range(1, 2 * len(_BERNOULLI_2K)):
+        exp_taylor.append(exp_taylor[-1] * y / k)
+        rising.append(rising[-1] * (nu + k - 1.0) / (k * n))
+    corrections = [
+        b2j / (2 * j) * math.fsum(exp_taylor[k] * rising[2 * j - 1 - k] for k in range(2 * j))
+        for j, b2j in enumerate(_BERNOULLI_2K, start=1)
+    ]
+    return head + f_n * (0.5 + integral + math.fsum(corrections))
 
 
-def zeta_dirichlet(s: float, n_direct: int = 24) -> float:
-    """Riemann zeta by direct Dirichlet sum plus Euler-Maclaurin tail.
+def zeta_dirichlet(s: float) -> float:
+    """Riemann zeta by a direct Dirichlet sum plus an Euler-Maclaurin tail.
 
     For s < 0 the head sum grows like n^(1-s) and cancels against the
     tail, so that side is routed through the functional equation
@@ -208,19 +215,18 @@ def zeta_dirichlet(s: float, n_direct: int = 24) -> float:
             * math.pi ** (s - 1.0)
             * math.sin(math.pi * s / 2.0)
             * math.gamma(1.0 - s)
-            * _zeta_euler_maclaurin(1.0 - s, n_direct)
+            * _euler_maclaurin(1.0 - s, 0.0)
         )
-    return _zeta_euler_maclaurin(s, n_direct)
+    return _euler_maclaurin(s, 0.0)
 
 
-def series_sum_highprec(nu: float, y: float, tol: float = 1e-13) -> float:
-    """Brute-force sum of e^(-n y)/n^nu, n >= 1, with exact accumulation.
+def series_sum_highprec(nu: float, y: float) -> float:
+    """sum_(n >= 1) e^(-n y)/n^nu to about 1e-15 relative, for y = 0 or y >= 1e-9.
 
-    The term count comes from the closed-form tail bound
-    e^(-N y)/(1 - e^(-y)) <= tol * (first term), fixed before summing;
-    every term is then folded into one compensated fsum. Deliberately
-    separate from the adaptive evaluator in the special-function module
-    so the two implementations can cross-check each other.
+    The Euler-Maclaurin sum of the zeta reference, with the tail integral
+    by exp-sinh quadrature. It shares no route with the special-function
+    module's evaluator (no expansion in y, no zeta(nu - k)), so the two
+    can cross-check each other.
     """
     if nu <= 0.0:
         raise DomainError(f"order must be positive, got nu={nu!r}")
@@ -230,22 +236,9 @@ def series_sum_highprec(nu: float, y: float, tol: float = 1e-13) -> float:
         if nu <= 1.0:
             raise DivergentValue(f"sum diverges at y=0 for nu={nu:g} <= 1")
         return zeta_dirichlet(nu)
-    # e^(-Ny)/(1-e^(-y)) <= tol * e^(-y)  =>  N >= 1 + log(1/(tol*(1-e^(-y))))/y
-    n_terms = max(8, math.ceil(1.0 - math.log(tol * (-math.expm1(-y))) / y))
-    if n_terms > 1 << 26:
-        raise ConvergenceError(
-            f"brute-force oracle would need {n_terms} terms at y={y:g}; argument too small"
-        )
-
-    import numpy as np
-
-    def terms():
-        block = 1 << 16
-        for start in range(1, n_terms + 1, block):
-            n = np.arange(start, min(start + block, n_terms + 1), dtype=float)
-            yield from (np.exp(-y * n) * n**-nu).tolist()
-
-    return math.fsum(terms())
+    if y < _Y_FLOOR:
+        raise ConvergenceError(f"series oracle needs y >= {_Y_FLOOR:g}, got y={y:g}")
+    return _euler_maclaurin(nu, y)
 
 
 class DerivativeEstimate(NamedTuple):

@@ -86,8 +86,10 @@ def test_tc_refuses_a_non_finite_value():
          "--tmin", "0.2", "--tmax", "2.0", "--points", "50"],
         ["-m", "bose_eos", "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
          "--tmin", "0.2", "--tmax", "2.0", "--points", "50", "--spacing", "log"],
+        ["-m", "bose_eos", "verify", "--level", "quick"],
+        ["-m", "bose_eos", "verify", "--level", "full"],
     ],
-    ids=["import", "tc", "landau", "linear-sweep", "log-sweep"],
+    ids=["import", "tc", "landau", "linear-sweep", "log-sweep", "verify-quick", "verify-full"],
 )
 def test_start_up_loads_neither_numpy_nor_scipy(argv):
     proc = subprocess.run(

@@ -138,6 +138,9 @@ def test_correlation_length_and_susceptibility():
     for r in (-0.1, math.nan):
         with pytest.raises(DomainError):
             correlation_quantities(SPEC32, r)
+    # xi = (0.5 / 1e-300)^2 is past the doubles
+    with pytest.raises(DomainError, match="d=1, sigma=0.5, r=1e-300"):
+        correlation_quantities(GasSpec(1.0, 0.5), 1e-300)
 
 
 def test_critical_susceptibility_power_law():

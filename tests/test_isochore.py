@@ -23,6 +23,7 @@ from bose_eos import (
     susceptibility,
     zeta,
 )
+from bose_eos.gas import _scales
 
 SPEC32 = GasSpec(d=3.0, sigma=2.0)
 
@@ -245,6 +246,15 @@ def test_evaluator_overflow_is_a_domain_error_naming_the_state(evaluator, units)
         evaluator(spec, 1e200, 0.0)
     for part in ("d=3", "sigma=2", "T=1e+200", "double range"):
         assert part in str(info.value)
+    # at y = r / T = 1200, T^k lambda_T^-d A overflows and g = e^-y underflows,
+    # but the value, (T / 2 pi)^1.5 T^k e^-y in natural units, is a double
+    energy, length = _scales(spec)
+    k = 0 if evaluator is density_at else 1
+    log_natural = (1.5 + k) * math.log(1e200) - 1.5 * math.log(2.0 * math.pi) - 1200.0
+    expected = math.exp(log_natural) * energy**k / length**3
+    assert abs(evaluator(spec, 1e200, 1200.0 * 1e200 * energy)) == pytest.approx(expected, rel=1e-12)
+    # at y = 1e5 it underflows to zero instead of coming back NaN
+    assert evaluator(spec, 1e200, 1e205 * energy) == 0.0
 
 
 def test_convergence_error_names_the_failed_solve(monkeypatch):

@@ -19,7 +19,7 @@ from bose_eos import (
     series_sum_highprec,
     zeta_dirichlet,
 )
-from bose_eos.oracle import _mode_multiplicities
+from bose_eos.oracle import _N_MAX_CAP, _mode_multiplicities
 
 SPEC32 = GasSpec(d=3.0, sigma=2.0)
 
@@ -70,6 +70,20 @@ def test_series_sum_large_argument_first_term_dominates():
     assert total == pytest.approx(two_terms, rel=1e-15)
 
 
+@pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.0, 1.0 + 1e-9, 2.0 - 1e-6, 3.0 + 1e-3, 4.0 - 1e-9])
+@pytest.mark.parametrize("y", [1e-9, 3e-8, 1e-7, 5e-7])
+def test_series_sum_small_argument_matches_mpmath(nu, y):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
+    assert series_sum_highprec(nu, y) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_series_sum_below_the_argument_floor_is_a_convergence_error():
+    with pytest.raises(ConvergenceError, match="y >= 1e-09"):
+        series_sum_highprec(1.5, 9e-10)
+
+
 def test_series_sum_deterministic():
     assert series_sum_highprec(1.5, 1e-4) == series_sum_highprec(1.5, 1e-4)
 
@@ -113,6 +127,8 @@ def test_box_spec_validation():
         BoxSpec(L=0.0, d=3)
     with pytest.raises(DomainError):
         BoxSpec(L=8.0, d=3, n_max=0)
+    with pytest.raises(DomainError):  # the 32-bit count bound is checked up to the cap
+        BoxSpec(L=8.0, d=3, n_max=_N_MAX_CAP + 1)
 
 
 def test_finite_density_domain():
@@ -195,5 +211,11 @@ def test_mode_multiplicities_equal_the_axis_convolution(d, n_max):
     expected = axis
     for _ in range(d - 1):
         expected = np.convolve(expected, axis)
-    counts = _mode_multiplicities(d, n_max)
-    assert counts.dtype == expected.dtype and np.array_equal(counts, expected)
+    assert _mode_multiplicities(d, n_max).tolist() == expected.tolist()
+
+
+def test_mode_multiplicities_at_the_cutoff_cap():
+    # every vector of the widest cube is counted once: no 32-bit slot carried
+    counts = _mode_multiplicities(3, _N_MAX_CAP)
+    assert len(counts) == 3 * _N_MAX_CAP**2 + 1
+    assert sum(counts) == (2 * _N_MAX_CAP + 1) ** 3
