@@ -192,7 +192,12 @@ def correlation_quantities(spec: GasSpec, r: float) -> CorrelationQuantities:
     c = dispersion_coefficient(spec)
     sigma = spec.sigma
     try:
-        xi = math.inf if r == 0.0 else (c / r) ** (1.0 / sigma)
+        if r == 0.0:
+            xi = math.inf
+        elif c / r < math.inf:
+            xi = (c / r) ** (1.0 / sigma)
+        else:  # a gap near the smallest doubles: xi may still be one
+            xi = math.exp((math.log(c) - math.log(r)) / sigma)
     except OverflowError:
         raise DomainError(
             f"xi = (c/r)^(1/sigma) is outside the double range "

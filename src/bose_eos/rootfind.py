@@ -13,7 +13,10 @@ Boltzmann (virial) inversion of g_order = z + z^2 / 2^order, z = e^-y, and
 otherwise at the middle of the bracket. Newton steps take the slope
 phi' = -g_(order-1) / g_order, with g_order from the same iterate, and fall
 back to bisection whenever a step leaves the bracket or the derivative order
-makes g_(order-1) blow up near r = 0.
+makes g_(order-1) blow up near r = 0. On the series route (y >= 0.5) one
+Horner pass gives an iterate both g_order and g_(order-1); below it the
+expansion stops each order at its own term, so g_(order-1) is a second call,
+made only when a Newton step is taken.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import sys
 
 from .errors import ConvergenceError, DomainError
-from .special import CLASSICAL_Y, _bose_any_order, bose_g
+from .special import CLASSICAL_Y, _bose_any_order, _bose_pair
 
 # Bisection-only region: for derivative orders <= 1 the Newton slope
 # diverges as r -> 0, so below this beta*r the plain bracket halving is used.
@@ -76,7 +79,7 @@ def solve_bose_equation(order: float, log_prefactor: float, target: float, T: fl
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
     for _ in range(_MAX_ITER):
-        g_order = bose_g(order, r / T).value
+        g_order, g_lower = _bose_pair(order, r / T)
         phi = math.log(g_order) + log_ratio
         if abs(phi) <= _LOG_TOL:
             return r
@@ -88,8 +91,10 @@ def solve_bose_equation(order: float, log_prefactor: float, target: float, T: fl
             return 0.5 * (lo + hi)
         newton = None
         if r > floor:
+            if g_lower is None:
+                g_lower = _bose_any_order(order - 1.0, r / T).value
             # d phi / dr = -g_(order-1)(r/T) / (T g_order(r/T))
-            slope = -_bose_any_order(order - 1.0, r / T).value / (T * g_order)
+            slope = -g_lower / (T * g_order)
             if slope != 0.0:
                 newton = r - phi / slope
         r = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)

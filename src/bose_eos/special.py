@@ -12,15 +12,18 @@ Two routes cover every real order:
 * y >= SMALL_Y_SWITCH (= 0.5): the series itself, by Horner's rule in
   z = e^-y (one exp per call), with a rigorous geometric tail bound and a
   proven round-off bound; the powers n^-nu are cached per order, at most
-  81 of them for nu in (-1, 8];
+  81 of them for nu in (-1, 8]. The term count is the same for every
+  order >= 0, so the gap solver takes g_nu and its Newton slope g_(nu-1)
+  from one Horner pass with two accumulators (_bose_pair);
 * y < SMALL_Y_SWITCH: the small-argument (Robinson) expansion
 
       g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_{k >= 0} (-y)^k zeta(nu - k) / k!
 
   whose terms fall by y / 2 pi per step, so it needs at most ~40 terms;
-  its zeta coefficients are cached per order. For nu within _MERGE_TOL of
-  an integer n >= 1 its two pole terms (the Gamma lead and k = n - 1) are
-  merged analytically. At nu = n this is the logarithmic form
+  its zeta coefficients are cached per order. Each order stops at its own
+  term, so g_nu and g_(nu-1) stay two calls here. For nu within _MERGE_TOL
+  of an integer n >= 1 its two pole terms (the Gamma lead and k = n - 1)
+  are merged analytically. At nu = n this is the logarithmic form
   (J. E. Robinson, Phys. Rev. 83, 678 (1951); D. C. Wood, Univ. of Kent
   TR 15-92 (1992))
 
@@ -231,6 +234,14 @@ def _series_powers(nu: float) -> tuple:
     return tuple(n**-nu for n in range(1, n_terms + 1))
 
 
+def _series_powers_through(nu: float, n_terms: int) -> tuple:
+    """n^-nu for n = 1 .. at least n_terms, from the cache where it reaches that far."""
+    powers = _series_powers(nu)
+    if n_terms > len(powers):  # only if rounding breaks the fall of the count with y
+        powers = tuple(n**-nu for n in range(1, n_terms + 1))
+    return powers
+
+
 def _bose_series(nu: float, y: float) -> EvalResult:
     """z (a_1 + z (a_2 + ... + z a_N)) by Horner, z = e^-y, a_n = n^-nu, y >= SMALL_Y_SWITCH.
 
@@ -244,11 +255,8 @@ def _bose_series(nu: float, y: float) -> EvalResult:
     z = math.exp(-y)
     one_minus = -math.expm1(-y)
     n_terms = _series_terms_needed(nu, y, one_minus)
-    powers = _series_powers(nu)
-    if n_terms > len(powers):  # only if rounding breaks the fall of the count with y
-        powers = tuple(n**-nu for n in range(1, n_terms + 1))
     value = 0.0
-    for a in powers[n_terms - 1 :: -1]:
+    for a in _series_powers_through(nu, n_terms)[n_terms - 1 :: -1]:
         value = value * z + a
     value *= z
     n1 = n_terms + 1
@@ -382,6 +390,30 @@ def bose_g(nu: float, y: float) -> EvalResult:
         value = zeta(nu)
         return EvalResult(value, 4.0 * _EPS * abs(value), 0)
     return _bose_any_order(nu, y)
+
+
+def _bose_pair(nu: float, y: float) -> tuple:
+    """(g_nu(y), g_(nu-1)(y)) on the series route, (g_nu(y), None) elsewhere.
+
+    On the series route (y >= SMALL_Y_SWITCH) with nu >= 1 both sums come
+    from one Horner pass with two accumulators: for orders >= 0 the term
+    count does not depend on the order, so one z, one count and the same
+    cached powers in the same order give each sum bit for bit as
+    _bose_series does. Elsewhere the value is bose_g's, and a caller that
+    needs g_(nu-1) takes it from _bose_any_order: the expansion stops each
+    order at its own term.
+    """
+    if y < SMALL_Y_SWITCH or nu < 1.0:
+        return bose_g(nu, y).value, None
+    z = math.exp(-y)
+    n_terms = _series_terms_needed(nu, y, -math.expm1(-y))
+    upper = _series_powers_through(nu, n_terms)[n_terms - 1 :: -1]
+    lower = _series_powers_through(nu - 1.0, n_terms)[n_terms - 1 :: -1]
+    value = value_lower = 0.0
+    for a, b in zip(upper, lower):
+        value = value * z + a
+        value_lower = value_lower * z + b
+    return value * z, value_lower * z
 
 
 def bose_g_derivative(nu: float, y: float) -> EvalResult:

@@ -117,6 +117,10 @@ README_EXAMPLES = {
         "sweep", "--d", "3", "--sigma", "2", "--pressure", "1.0", "--tmin", "0.3", "--tmax", "3.0",
         "--points", "80", "--spacing", "log", "--columns", "T,r,rho,regime", "--format", "json",
     ],
+    "sweep_density_log.csv": [
+        "sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
+        "--tmin", "4", "--tmax", "40", "--points", "40", "--spacing", "log",
+    ],
     "landau.csv": ["landau", "--d", "3", "--sigma", "2", "--density", "1.0", "--t=-0.1,0,0.1"],
 }
 

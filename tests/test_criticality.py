@@ -138,6 +138,13 @@ def test_correlation_length_and_susceptibility():
     for r in (-0.1, math.nan):
         with pytest.raises(DomainError):
             correlation_quantities(SPEC32, r)
+    # c / r overflows at these gaps, xi itself does not: c = 0.5, r = 2^-1074 and 1e-310
+    assert correlation_quantities(GasSpec(3.0, 2.0), 5e-324).xi == pytest.approx(
+        2.0**536 * math.sqrt(2.0), rel=1e-13
+    )
+    assert correlation_quantities(GasSpec(3.0, 2.0), 1e-310).xi == pytest.approx(
+        math.sqrt(0.5) / math.sqrt(1e-310), rel=1e-13
+    )
     # xi = (0.5 / 1e-300)^2 is past the doubles
     with pytest.raises(DomainError, match="d=1, sigma=0.5, r=1e-300"):
         correlation_quantities(GasSpec(1.0, 0.5), 1e-300)

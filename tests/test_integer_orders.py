@@ -6,12 +6,14 @@ checks hold every solve to its constraint and bound the terms each Bose
 function call spends, a count that does not depend on machine speed.
 """
 
+import math
 import random
 
 import pytest
 
 import bose_eos.isochore
 import bose_eos.rootfind
+import bose_eos.special
 from bose_eos import (
     GasSpec,
     critical_temperature_density,
@@ -21,7 +23,7 @@ from bose_eos import (
     solve_gap_isobar,
     solve_gap_isochore,
 )
-from bose_eos.special import SMALL_Y_SWITCH, _series_powers
+from bose_eos.special import SMALL_Y_SWITCH, _series_powers, _series_terms_needed
 
 CONSTRAINT_RTOL = 1e-10
 # Terms per call: the small-y expansion needs about sixteen at the switch;
@@ -43,7 +45,20 @@ def term_log(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(bose_eos.rootfind, "bose_g", recorder(bose_eos.rootfind.bose_g))
+    def pair_recorder(fn):
+        def wrapped(nu, y):
+            pair = fn(nu, y)
+            if pair[1] is not None:  # one series pass, at the count _bose_series takes
+                calls.append((nu, y, _series_terms_needed(nu, y, -math.expm1(-y))))
+            return pair
+
+        return wrapped
+
+    # the solver's values: series pairs, and below the switch bose_g inside _bose_pair
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_pair", pair_recorder(bose_eos.rootfind._bose_pair)
+    )
+    monkeypatch.setattr(bose_eos.special, "bose_g", recorder(bose_eos.special.bose_g))
     monkeypatch.setattr(
         bose_eos.rootfind, "_bose_any_order", recorder(bose_eos.rootfind._bose_any_order)
     )

@@ -31,6 +31,7 @@ from bose_eos import (
     solve_gap_isochore,
 )
 from bose_eos.rootfind import solve_bose_equation
+from bose_eos.special import SMALL_Y_SWITCH
 
 EPS = sys.float_info.epsilon
 ORDERS = st.floats(min_value=1.0, max_value=8.0, exclude_min=True)
@@ -78,7 +79,8 @@ def test_sides_outside_the_normal_doubles_are_a_domain_error(prefactor, target):
 
 
 def test_bose_calls_per_solve_far_from_tc(monkeypatch):
-    # Every value and slope evaluation a solve makes goes through these two names.
+    # Every Bose pass a solve makes goes through these two names: a value, on
+    # the series route with its slope from the same pass, or a separate slope.
     calls = [0]
 
     def counted(fn):
@@ -88,7 +90,7 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(bose_eos.rootfind, "bose_g", counted(bose_eos.rootfind.bose_g))
+    monkeypatch.setattr(bose_eos.rootfind, "_bose_pair", counted(bose_eos.rootfind._bose_pair))
     monkeypatch.setattr(
         bose_eos.rootfind, "_bose_any_order", counted(bose_eos.rootfind._bose_any_order)
     )
@@ -104,8 +106,39 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
                 assert solve(spec, ratio * tc(spec, 1.0), 1.0).r > 0.0
                 per_solve.append(calls[0] - before)
     assert len(per_solve) == 24
-    assert sum(per_solve) / len(per_solve) <= 5.6, per_solve
+    assert sum(per_solve) / len(per_solve) <= 3.7, per_solve
     assert max(per_solve) <= 9, per_solve
+
+
+@pytest.mark.parametrize(
+    "solve, tc",
+    [
+        (solve_gap_isochore, critical_temperature_density),
+        (solve_gap_isobar, critical_temperature_pressure),
+    ],
+)
+def test_far_normal_solve_takes_no_separate_slope_on_the_series_route(monkeypatch, solve, tc):
+    # At T = 10 T_c every iterate sits at y >= SMALL_Y_SWITCH, where one
+    # Horner pass gives the value and the Newton slope together.
+    pair_ys, slope_ys = [], []
+
+    def recorded(fn, ys):
+        def wrapped(nu, y):
+            ys.append(y)
+            return fn(nu, y)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_pair", recorded(bose_eos.rootfind._bose_pair, pair_ys)
+    )
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_any_order", recorded(bose_eos.rootfind._bose_any_order, slope_ys)
+    )
+    spec = GasSpec(d=3.0, sigma=2.0)
+    assert solve(spec, 10.0 * tc(spec, 1.0), 1.0).r > 0.0
+    assert pair_ys and min(pair_ys) >= SMALL_Y_SWITCH, pair_ys
+    assert slope_ys == []
 
 
 @pytest.mark.xfail(raises=ConvergenceError, strict=True, reason="ROADMAP F, near-T_c half")
@@ -197,23 +230,46 @@ def test_isobar_gap_where_the_prefactor_overflows(T, P):
     assert pt.rho == pytest.approx(rho, rel=1e-13)
 
 
-def test_readme_log_sweep_gaps_against_mpmath():
-    # every normal row of the README's --pressure 1.0 ... --spacing log sweep
+def _sweep_gap_errors(constraint, T_min, T_max, points, y_min=0.0):
+    """Normal rows at r/T >= y_min of a d = 3, sigma = 2 log sweep: count, worst error in r."""
     mpmath = pytest.importorskip("mpmath")
     request = SweepRequest(
-        spec=GasSpec(d=3.0, sigma=2.0), constraint="pressure", value=1.0,
-        T_min=0.3, T_max=3.0, points=80, spacing="log",
+        spec=GasSpec(d=3.0, sigma=2.0), constraint=constraint, value=1.0,
+        T_min=T_min, T_max=T_max, points=points, spacing="log",
     )
-    rows = [row for row in run_sweep(request).rows if row["regime"] == "normal"]
-    assert len(rows) == 4  # rows 76 to 79: T_c(P = 1) = 2.68
+    rows = [
+        row for row in run_sweep(request).rows
+        if row["regime"] == "normal" and row["r"] / row["T"] >= y_min
+    ]
+    # rho = (T / 2 pi)^1.5 g_1.5(y) and P = T (T / 2 pi)^1.5 g_2.5(y)
+    order, T_power = (1.5, 0) if constraint == "density" else (2.5, 1)
     worst = 0.0
     with mpmath.workdps(40):
         for row in rows:
-            T = mpmath.mpf(row["T"])
-            log_pref = mpmath.log(T) + 1.5 * (mpmath.log(T) - mpmath.log(2 * mpmath.pi))
-            exact = T * mpmath.findroot(
-                lambda y: mpmath.log(mpmath.polylog(2.5, mpmath.exp(-y))) + log_pref,
+            log_T = mpmath.log(mpmath.mpf(row["T"]))
+            log_pref = T_power * log_T + 1.5 * (log_T - mpmath.log(2 * mpmath.pi))
+            exact = row["T"] * mpmath.findroot(
+                lambda y: mpmath.log(mpmath.polylog(order, mpmath.exp(-y))) + log_pref,
                 row["r"] / row["T"],
             )
             worst = max(worst, float(abs(row["r"] - exact) / exact))
+    return len(rows), worst
+
+
+def test_readme_log_sweep_gaps_against_mpmath():
+    # every normal row of the README's --pressure 1.0 ... --spacing log sweep
+    rows, worst = _sweep_gap_errors("pressure", 0.3, 3.0, 80)
+    assert rows == 4  # rows 76 to 79: T_c(P = 1) = 2.68
     assert worst <= 1e-14, worst
+
+
+def test_series_route_sweep_gaps_against_mpmath():
+    # the rows at y >= SMALL_Y_SWITCH, whose gaps the solver takes from the
+    # series pair, of the README's --density 1.0 --tmin 4 --tmax 40 log
+    # isochore and of a --pressure 1.0 --tmin 3 --tmax 30 log isobar
+    rows, worst = _sweep_gap_errors("density", 4.0, 40.0, 40, SMALL_Y_SWITCH)
+    assert rows == 29
+    assert worst <= 1.2e-13, worst
+    rows, worst = _sweep_gap_errors("pressure", 3.0, 30.0, 40, SMALL_Y_SWITCH)
+    assert rows == 37
+    assert worst <= 5e-14, worst

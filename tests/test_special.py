@@ -23,6 +23,8 @@ from bose_eos.special import (
     CLASSICAL_Y,
     SMALL_Y_SWITCH,
     _bose_any_order,
+    _bose_pair,
+    _bose_series,
     _series_powers,
     _series_terms_needed,
 )
@@ -231,6 +233,23 @@ def test_series_term_count_fits_the_cached_powers(nu, y):
     # The count falls as y grows, so the powers sized at the switch serve every
     # series call and none rebuilds them.
     assert _series_terms_needed(nu, y, -math.expm1(-y)) <= len(_series_powers(nu))
+
+
+@pytest.mark.parametrize(
+    "nu", [1.0 + 1e-9, 1.001, 1.47, 1.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 2.5, 3.0, 4.0, 8.0]
+)
+def test_series_pair_equals_two_series_calls_bit_for_bit(nu):
+    # one Horner pass with two accumulators: same z, count and cached powers
+    for y in (0.5, 0.5 + 1e-12, 0.75, 1.0, 2.0, 5.0, 10.0, 20.0, 36.99):
+        pair = (_bose_series(nu, y).value, _bose_series(nu - 1.0, y).value)
+        assert _bose_pair(nu, y) == pair, (nu, y)
+
+
+@pytest.mark.parametrize("nu, y", [(1.5, 0.49), (2.0, 1e-3), (3.0, 1e-8), (0.5, 2.0)])
+def test_pair_off_the_series_route_leaves_the_lower_order_out(nu, y):
+    # below the switch the expansion stops each order at its own term; below
+    # order 1 the series count of order nu - 1 < 0 differs from order nu's
+    assert _bose_pair(nu, y) == (bose_g(nu, y).value, None)
 
 
 @pytest.mark.parametrize("y", [712.3, 720.1, 740.0, 745.5])
