@@ -14,11 +14,6 @@ import argparse
 import json
 import sys
 
-from .criticality import (
-    chemical_potential_asymptotic,
-    landau_free_energy,
-    landau_model,
-)
 from .errors import (
     BoseEosError,
     ConfigError,
@@ -29,7 +24,9 @@ from .gas import GasSpec
 from .isobar import critical_temperature_pressure
 from .isochore import critical_temperature_density
 from .sweep import COLUMNS, SweepRequest, SweepTable, run_sweep
-from .verify import LEVELS, all_passed, run_checks, verdict
+
+# criticality and verify are imported by the subcommands that use them, so
+# that `tc`, `sweep` and the error exits do not pay for them.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,6 +35,7 @@ EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
 _LANDAU_COLUMNS = ("t", "C_f", "psi2", "f_ordered", "f_disordered", "mu_asym")
+_LEVELS = ("quick", "full")  # verify.LEVELS, which the parser reads without the suite
 
 # Settings accepted in config files, with their parsers.
 _CONFIG_PARSERS = {
@@ -111,7 +109,7 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser(
         "verify", parents=[common], help="run the cross-module verification suite"
     )
-    verify.add_argument("--level", choices=LEVELS, help="quick (default) or full")
+    verify.add_argument("--level", choices=_LEVELS, help="quick (default) or full")
 
     return parser
 
@@ -229,6 +227,8 @@ def _cmd_sweep(args, config: dict) -> int:
 
 
 def _landau_rows(spec: GasSpec, rho: float, t_values: list[float]) -> list[dict]:
+    from .criticality import chemical_potential_asymptotic, landau_free_energy, landau_model
+
     rows = []
     for t in t_values:
         model = landau_model(spec, rho, t)
@@ -275,6 +275,8 @@ def _cmd_landau(args, config: dict) -> int:
 
 
 def _cmd_verify(args, config: dict) -> int:
+    from .verify import all_passed, run_checks, verdict
+
     level = _setting(args, config, "level", default="quick")
     results = run_checks(level)
     for res in results:

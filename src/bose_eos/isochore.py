@@ -173,12 +173,12 @@ def _normal_state(
     which sweeps call once for all rows. Errors name d, sigma, T and value.
     """
     nu = spec.d_over_sigma
-    r_nat = 0.0
+    r_nat, g_lower = 0.0, None
     try:
         if solve:
             if target is None:  # raises value's DomainError, which gets the state below
                 target = _natural_constraint(spec, value, k)
-            r_nat = solve_bose_equation(nu + k, _log_prefactor(spec, T, k, a), target, T)
+            r_nat, g_lower = solve_bose_equation(nu + k, _log_prefactor(spec, T, k, a), target, T)
         classical = r_nat / T >= CLASSICAL_Y
         pref = None if classical else _density_prefactor(spec, T, a)
     except (ConvergenceError, DomainError) as exc:
@@ -192,6 +192,10 @@ def _normal_state(
         conjugate = T * value * energy if k == 0 else value / (T * energy)
     elif k and not solve and spec.d <= spec.sigma:  # the r = 0 density diverges
         return 0.0, math.inf
+    elif k and g_lower is not None and nu + 1.0 - 1.0 == nu:
+        # The isobar's density g_nu(r / T): the solve's last pass summed order
+        # (nu + 1) - 1, which is bit for bit bose_g's g_nu where it rounds to nu.
+        conjugate = _spec_constraint(spec, pref * g_lower, 0)
     else:
         conjugate = _constraint_at(spec, T, r_nat, 1 - k, pref)
     if conjugate == math.inf:

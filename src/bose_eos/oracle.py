@@ -33,8 +33,8 @@ class BoxSpec:
 
     d must be a small integer (the discrete sum enumerates integer mode
     vectors, unlike the analytic modules where d is a free real
-    parameter). n_max = None lets the sum grow its own cutoff until the
-    omitted Boltzmann tail is below 1e-12 of the total.
+    parameter). n_max = None takes the smallest cutoff whose omitted
+    occupation is proven below 1e-13 of the cube's sum.
     """
 
     L: float
@@ -67,9 +67,58 @@ def _mode_multiplicities(d: int, n_max: int) -> array:
     return array("I", power.to_bytes(4 * (d * n_max * n_max + 1), sys.byteorder))
 
 
-def _box_sum(spec: GasSpec, L: float, T: float, r: float, n_max: int) -> float:
-    """Total occupation over the mode cube [-n_max, n_max]^d, natural units."""
+def _cutoff(d: int, sigma: float, eps_scale: float, T: float, r: float) -> int:
+    """Smallest n whose omitted occupation is proven <= 0.1 * _TAIL_RTOL of the cube's sum.
+
+    An omitted vector lies on a shell max|n_j| = m > n, which holds
+    (2m + 1)^d - (2m - 1)^d vectors, each with |n|^2 >= m^2; as 1/expm1
+    falls with the energy, each occupies at most 1/expm1 at eps_scale m^sigma.
+    Shells n + 1 .. 2n + 1 are summed so; from m = 2n + 2 on, the shells
+    [m, 2m) hold fewer than (4m)^d vectors, and one such block's bound over
+    the previous one's is at most q(m) = 2^d e^(-eps_scale (2^sigma - 1) m^sigma / T),
+    which falls with m: once q <= 1/2 the blocks left add at most the last
+    one. Inside the cube |n|^2 <= d m^2 on shell m, which bounds the sum
+    from below. Occupations past the doubles count as 0, as in the sum.
+    """
+
+    def occupation(energy: float) -> float:
+        x = (energy + r) / T
+        return 1.0 / math.expm1(x) if x <= _EXPM1_MAX else 0.0
+
+    def shell(m: int) -> int:
+        return (2 * m + 1) ** d - (2 * m - 1) ** d
+
+    inside = occupation(0.0)
+    upper = [0.0]  # upper[m] bounds the occupation of shell m
+    for n in range(1, _N_MAX_CAP + 1):
+        inside += shell(n) * occupation(eps_scale * (d * n * n) ** (0.5 * sigma))
+        for m in range(len(upper), 2 * n + 2):
+            upper.append(shell(m) * occupation(eps_scale * m**sigma))
+        limit = 0.1 * _TAIL_RTOL * inside
+        tail = math.fsum(upper[n + 1 :])
+        m = 2 * n + 2
+        while tail <= limit and m < 2**60:  # (4m)^d stays a double; 2^60 is far past the cap
+            block = (4 * m) ** d * occupation(eps_scale * m**sigma)
+            if 2**d * math.exp(-eps_scale * (2.0**sigma - 1.0) * m**sigma / T) <= 0.5:
+                if tail + 2.0 * block <= limit:
+                    return n
+                break
+            tail += block
+            m *= 2
+    raise ConvergenceError(
+        f"mode sum needs a cutoff past the cap n_max={_N_MAX_CAP}; "
+        "box too large or temperature too high for the discrete oracle"
+    )
+
+
+def _box_sum(spec: GasSpec, L: float, T: float, r: float, n_max: int | None) -> float:
+    """Total occupation over the mode cube [-n_max, n_max]^d, natural units.
+
+    n_max = None takes the cube from ``_cutoff``.
+    """
     eps_scale = (2.0 * math.pi / L) ** spec.sigma / (2.0 * spec.mass)
+    if n_max is None:
+        n_max = _cutoff(int(spec.d), spec.sigma, eps_scale, T, r)
     terms = []
     for s, count in enumerate(_mode_multiplicities(int(spec.d), n_max)):
         x = (eps_scale * s ** (spec.sigma / 2.0) + r) / T
@@ -103,31 +152,14 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
         )
     r_nat = -mu_nat
 
+    total = _box_sum(spec, L_nat, T, r_nat, box.n_max)
     if box.n_max is not None:
-        total = _box_sum(spec, L_nat, T, r_nat, box.n_max)
         shell = total - _box_sum(spec, L_nat, T, r_nat, box.n_max - 1)
         if shell > _TAIL_RTOL * total:
             raise ConvergenceError(
                 f"outermost mode shell still contributes {shell / total:.2e} "
                 f"of the sum at n_max={box.n_max}; increase n_max"
             )
-    else:
-        # Grow the cutoff until doubling it adds a negligible band; mode
-        # energies increase monotonically and occupations decay at least
-        # exponentially in energy, so the accepted band bounds the tail.
-        n_used = 8
-        total = _box_sum(spec, L_nat, T, r_nat, n_used)
-        while n_used < _N_MAX_CAP:
-            n_used *= 2
-            narrower, total = total, _box_sum(spec, L_nat, T, r_nat, n_used)
-            if total - narrower <= 0.1 * _TAIL_RTOL * total:
-                break
-        else:
-            raise ConvergenceError(
-                f"mode sum not converged at the cutoff cap n_max={_N_MAX_CAP}; "
-                "box too large or temperature too high for the discrete oracle"
-            )
-
     return _spec_constraint(spec, total / L_nat ** int(spec.d), 0)
 
 

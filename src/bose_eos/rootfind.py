@@ -43,8 +43,13 @@ _MAX_ITER = 400
 _FLOAT_MIN = sys.float_info.min
 
 
-def solve_bose_equation(order: float, log_prefactor: float, target: float, T: float) -> float:
+def solve_bose_equation(
+    order: float, log_prefactor: float, target: float, T: float
+) -> tuple[float, float | None]:
     """Solve ``ln g_order(r / T) = ln(target) - log_prefactor`` for the gap r > 0.
+
+    Returns (r, g_(order-1)(r / T)) where r is an iterate whose Horner pass
+    on the series route also summed g_(order-1), else (r, None).
 
     log_prefactor is ln(prefactor), finite also where the prefactor itself
     leaves the doubles. Assumes the caller has already established that a
@@ -65,7 +70,7 @@ def solve_bose_equation(order: float, log_prefactor: float, target: float, T: fl
         )
     log_ratio = log_prefactor - math.log(target)  # L
     if log_ratio >= CLASSICAL_Y:  # the bracket below is [L, L] in doubles
-        return log_ratio * T
+        return log_ratio * T, None
     y_lo = max(log_ratio, 0.0)
     y_hi = y_lo + math.log1p(math.exp(-abs(log_ratio)))  # ln(1 + e^L)
     lo, hi = y_lo * T, y_hi * T
@@ -82,13 +87,13 @@ def solve_bose_equation(order: float, log_prefactor: float, target: float, T: fl
         g_order, g_lower = _bose_pair(order, r / T)
         phi = math.log(g_order) + log_ratio
         if abs(phi) <= _LOG_TOL:
-            return r
+            return r, g_lower
         if phi > 0.0:
             lo = r
         else:
             hi = r
         if hi - lo <= _XTOL_REL * hi:
-            return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi), None
         newton = None
         if r > floor:
             if g_lower is None:

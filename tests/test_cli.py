@@ -14,7 +14,7 @@ import bose_eos
 import bose_eos.cli
 import bose_eos.isochore
 from bose_eos import GasSpec, critical_temperature_density
-from bose_eos.verify import REGISTRY
+from bose_eos.verify import LEVELS, REGISTRY
 
 
 def run_cli(*args, cwd=None):
@@ -92,17 +92,49 @@ def test_tc_refuses_a_non_finite_value():
     ids=["import", "tc", "landau", "linear-sweep", "log-sweep", "verify-quick", "verify-full"],
 )
 def test_start_up_loads_neither_numpy_nor_scipy(argv):
+    code, loaded = imported_modules(argv)
+    assert code == 0
+    loaded = {name.split(".")[0] for name in loaded}
+    assert "bose_eos" in loaded
+    assert not loaded & {"numpy", "scipy"}
+
+
+def imported_modules(argv):
+    """(exit code, names of the modules imported) of a `python -X importtime` run."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
     loaded = {
-        line.rsplit("|", 1)[-1].strip().split(".")[0]
+        line.rsplit("|", 1)[-1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    assert "bose_eos" in loaded
-    assert not loaded & {"numpy", "scipy"}
+    return proc.returncode, loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["tc", "--d", "3", "--sigma", "2", "--density", "1.0"], 0),
+        (["sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
+          "--tmin", "0.2", "--tmax", "2.0", "--points", "50"], 0),
+        (["tc", "--d", "3", "--sigma", "2"], 4),
+        (["verify", "--level", "bogus"], 4),
+    ],
+    ids=["tc", "sweep", "config-error", "bad-level"],
+)
+def test_subcommands_load_neither_the_suite_nor_the_oracles(argv, code):
+    exit_code, loaded = imported_modules(["-m", "bose_eos", *argv])
+    assert exit_code == code
+    assert "bose_eos.cli" in loaded
+    assert not loaded & {"bose_eos.verify", "bose_eos.oracle", "bose_eos.criticality"}
+
+
+def test_level_choices_are_the_suites_levels(capsys):
+    # the parser spells the levels out, so that it need not import the suite
+    with pytest.raises(SystemExit):
+        bose_eos.cli.main(["verify", "--help"])
+    assert f"--level {{{','.join(LEVELS)}}}" in capsys.readouterr().out
 
 
 # The README's examples, by the file under tests/data that holds their stdout.

@@ -12,6 +12,7 @@ from bose_eos import (
     DomainError,
     GasSpec,
     ZeroTemperatureBEC,
+    bose_g,
     coexistence_consistency,
     critical_temperature_pressure,
     density_at,
@@ -125,6 +126,30 @@ def test_normal_phase_residual():
         assert pt.r > 0.0
         assert pressure_at(SPEC32, pt.T, pt.r) == pytest.approx(P, rel=1e-10)
         assert density_at(SPEC32, pt.T, pt.r) == pytest.approx(pt.rho, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, sigma, factor",
+    # the last three have orders nu with (nu + 1) - 1 != nu in doubles
+    [(3.0, 2.0, 3.0), (2.5, 1.7, 10.0), (1.24, 1.0, 2.0), (0.77, 1.46, 10.0), (3.39, 1.9, 10.0)],
+)
+def test_isobar_density_is_the_public_density_bit_for_bit(monkeypatch, d, sigma, factor):
+    # on the series route the density reuses the solve's last Horner pass
+    # where that pass summed g_nu itself, and sums it anew otherwise
+    spec = GasSpec(d=d, sigma=sigma)
+    T = factor * critical_temperature_pressure(spec, 1.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bose_g(*args)
+
+    monkeypatch.setattr(bose_eos.isochore, "bose_g", counted)
+    pt = solve_gap_isobar(spec, T, 1.0)
+    assert pt.r / T >= 0.5
+    nu = spec.d_over_sigma
+    assert len(calls) == (0 if nu + 1.0 - 1.0 == nu else 1)
+    assert pt.rho == density_at(spec, T, pt.r)
 
 
 def test_gap_increases_density_decreases_along_isobar():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from bose_eos import (
     series_sum_highprec,
     zeta_dirichlet,
 )
-from bose_eos.oracle import _N_MAX_CAP, _mode_multiplicities
+import bose_eos.oracle
+from bose_eos.oracle import _N_MAX_CAP, _TAIL_RTOL, _box_sum, _mode_multiplicities
 
 SPEC32 = GasSpec(d=3.0, sigma=2.0)
 
@@ -164,6 +166,46 @@ def test_finite_density_explicit_cutoff():
     )
     with pytest.raises(ConvergenceError):
         finite_density(SPEC32, BoxSpec(L=8.0, d=3, n_max=2), **kwargs)
+
+
+# (L, T, r) per sigma, with chosen cutoffs from 1 to about 30
+BOX_CASES = {
+    0.5: [(1.0, 0.1, 0.5), (4.0, 0.05, 0.01), (0.5, 0.3, 0.05)],
+    1.0: [(2.0, 1.0, 0.5), (8.0, 0.3, 0.05), (4.0, 0.05, 0.01)],
+    2.0: [(2.0, 1.0, 0.5), (8.0, 0.3, 0.05), (16.0, 1.0, 0.5)],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "sigma, L, T, r", [(sigma, *case) for sigma, cases in BOX_CASES.items() for case in cases]
+)
+def test_automatic_cutoff_bounds_what_a_cube_twice_as_wide_adds(monkeypatch, d, sigma, L, T, r):
+    cutoffs = []
+
+    def spy(dim, n_max):
+        cutoffs.append(n_max)
+        return _mode_multiplicities(dim, n_max)
+
+    monkeypatch.setattr(bose_eos.oracle, "_mode_multiplicities", spy)
+    spec = GasSpec(d=float(d), sigma=sigma)
+    density = finite_density(spec, BoxSpec(L=L, d=d), T=T, mu=-r)
+    assert len(cutoffs) == 1  # one sum, at the chosen cutoff
+    n = cutoffs[0]
+    total = _box_sum(spec, L, T, r, n)
+    assert density == total / L**d
+    wider = _box_sum(spec, L, T, r, 2 * n)
+    # each fsum rounds once
+    assert 0.0 <= wider - total <= (0.1 * _TAIL_RTOL + 4.0 * sys.float_info.epsilon) * total
+
+
+def test_box_past_the_cutoff_cap_fails_before_any_mode_count(monkeypatch):
+    def spy(dim, n_max):
+        pytest.fail(f"mode counts built at n_max={n_max}")
+
+    monkeypatch.setattr(bose_eos.oracle, "_mode_multiplicities", spy)
+    with pytest.raises(ConvergenceError, match="past the cap"):
+        finite_density(SPEC32, BoxSpec(L=200.0, d=3), T=1.0, mu=-0.5)
 
 
 def test_finite_density_zero_mode_dominates_at_low_temperature():

@@ -66,7 +66,7 @@ def test_bose_function_lies_between_the_bracket_bounds(nu, y):
 def test_every_root_lies_in_the_log_form_bracket(nu, y_true, prefactor, T):
     # y* <= 650 and prefactor >= 1 keep the target a normal double
     target = prefactor * bose_g(nu, y_true).value
-    y = solve_bose_equation(nu, math.log(prefactor), target, T) / T
+    y = solve_bose_equation(nu, math.log(prefactor), target, T)[0] / T
     lo, hi = log_form_bracket(prefactor, target)
     assert lo * (1.0 - 4.0 * EPS) <= y <= hi * (1.0 + 4.0 * EPS)
     assert abs(prefactor * bose_g(nu, y).value - target) <= 1e-12 * target
