@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import BranchError, DomainError, FitError, UnsupportedRegime
@@ -29,8 +28,7 @@ from .sweep import geomspace
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class LandauModel:
+class LandauModel(NamedTuple):
     """Effective free-energy data at one reduced temperature.
 
     C_f and thermal_energy (k_B T at this t) are in the unit system of the
@@ -65,8 +63,7 @@ class CorrelationQuantities(NamedTuple):
     chi: Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """A fitted power-law exponent with its least-squares standard error."""
 
     exponent: float
@@ -74,8 +71,7 @@ class FitResult:
     n_points: int
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class ExponentSet(NamedTuple):
     """Analytic critical exponents next to their numerically fitted values."""
 
     eta: float

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .special import gamma, zeta
@@ -36,9 +36,15 @@ NATURAL = "natural"
 SI = "si"
 
 
-@dataclass(frozen=True)
-class GasSpec:
-    """Physical model record.
+class _GasSpec(NamedTuple):
+    d: float
+    sigma: float
+    mass: float
+    units: str
+
+
+class GasSpec(_GasSpec):
+    """Physical model record, a named tuple that validates its fields.
 
     d : spatial dimension, any positive real (the formulas are analytic in d)
     sigma : dispersion exponent, 0 < sigma <= 2
@@ -46,22 +52,23 @@ class GasSpec:
     units : "natural" (hbar = k_B = 1) or "si" (kg, K, m^-d, J/m^d)
     """
 
-    d: float
-    sigma: float
-    mass: float = 1.0
-    units: str = NATURAL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.d > 0.0:
-            raise DomainError(f"dimension must be positive, got d={self.d!r}")
-        if not 0.0 < self.sigma <= 2.0:
-            raise DomainError(
-                f"dispersion exponent must satisfy 0 < sigma <= 2, got {self.sigma!r}"
-            )
-        if not self.mass > 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass!r}")
-        if self.units not in (NATURAL, SI):
-            raise DomainError(f"units must be 'natural' or 'si', got {self.units!r}")
+    def __new__(cls, d: float, sigma: float, mass: float = 1.0, units: str = NATURAL):
+        if not d > 0.0:
+            raise DomainError(f"dimension must be positive, got d={d!r}")
+        if not 0.0 < sigma <= 2.0:
+            raise DomainError(f"dispersion exponent must satisfy 0 < sigma <= 2, got {sigma!r}")
+        if not mass > 0.0:
+            raise DomainError(f"mass must be positive, got {mass!r}")
+        if units not in (NATURAL, SI):
+            raise DomainError(f"units must be 'natural' or 'si', got {units!r}")
+        return super().__new__(cls, d, sigma, mass, units)
+
+    @classmethod
+    def _make(cls, iterable) -> "GasSpec":
+        """Through __new__, so that _replace validates too."""
+        return cls(*iterable)
 
     @property
     def d_over_sigma(self) -> float:
@@ -69,7 +76,7 @@ class GasSpec:
 
     def to_mapping(self) -> dict:
         """Flat key-value form consumed by the CLI config loader."""
-        return {"d": self.d, "sigma": self.sigma, "mass": self.mass, "units": self.units}
+        return self._asdict()
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "GasSpec":

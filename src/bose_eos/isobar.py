@@ -14,7 +14,7 @@ boundary itself is exposed. States come from isochore's normal-state core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CondensedRegion, DomainError
 from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
@@ -31,8 +31,7 @@ from .special import zeta
 REGIME_BOUNDARY = "condensed_boundary"
 
 
-@dataclass(frozen=True)
-class IsobarPoint:
+class IsobarPoint(NamedTuple):
     """One solved state along an isobar (fixed P, T >= T_c(P)).
 
     v is the specific volume 1/rho; t_P the reduced distance from the

@@ -16,7 +16,7 @@ gives ``pressure_at`` and ``density_at``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
 from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
@@ -34,8 +34,7 @@ REGIME_CRITICAL = "critical"
 CRITICAL_WINDOW = 1e-8
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     """One solved equilibrium state along an isochore.
 
     r is the gap -mu >= 0; psi2 the condensate fraction, positive only where

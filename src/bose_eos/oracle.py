@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DivergentValue, DomainError
-from .gas import GasSpec, _scales, _spec_constraint
+from .gas import GasSpec, _all_normal, _scales, _spec_constraint
 
 # Relative size below which the remaining mode tail is considered converged.
 _TAIL_RTOL = 1e-12
@@ -27,27 +26,37 @@ _N_MAX_CAP = 256
 _EXPM1_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class _BoxSpec(NamedTuple):
+    L: float
+    d: int
+    n_max: int | None
+
+
+class BoxSpec(_BoxSpec):
     """Cubic box with periodic boundary conditions, k_j = 2 pi n_j / L.
 
     d must be a small integer (the discrete sum enumerates integer mode
     vectors, unlike the analytic modules where d is a free real
     parameter). n_max = None takes the smallest cutoff whose omitted
-    occupation is proven below 1e-13 of the cube's sum.
+    occupation is proven below 1e-13 of the cube's sum. A named tuple that
+    validates its fields.
     """
 
-    L: float
-    d: int
-    n_max: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.d, int) and 1 <= self.d <= 3):
-            raise DomainError(f"box dimension must be an integer in 1..3, got {self.d!r}")
-        if not (self.L > 0.0):
-            raise DomainError(f"box edge must be positive, got L={self.L!r}")
-        if self.n_max is not None and not 1 <= self.n_max <= _N_MAX_CAP:
-            raise DomainError(f"mode cutoff must be in 1..{_N_MAX_CAP}, got n_max={self.n_max!r}")
+    def __new__(cls, L: float, d: int, n_max: int | None = None):
+        if not (isinstance(d, int) and 1 <= d <= 3):
+            raise DomainError(f"box dimension must be an integer in 1..3, got {d!r}")
+        if not (L > 0.0):
+            raise DomainError(f"box edge must be positive, got L={L!r}")
+        if n_max is not None and not 1 <= n_max <= _N_MAX_CAP:
+            raise DomainError(f"mode cutoff must be in 1..{_N_MAX_CAP}, got n_max={n_max!r}")
+        return super().__new__(cls, L, d, n_max)
+
+    @classmethod
+    def _make(cls, iterable) -> "BoxSpec":
+        """Through __new__, so that _replace validates too."""
+        return cls(*iterable)
 
 
 def _mode_multiplicities(d: int, n_max: int) -> array:
@@ -114,9 +123,18 @@ def _cutoff(d: int, sigma: float, eps_scale: float, T: float, r: float) -> int:
 def _box_sum(spec: GasSpec, L: float, T: float, r: float, n_max: int | None) -> float:
     """Total occupation over the mode cube [-n_max, n_max]^d, natural units.
 
-    n_max = None takes the cube from ``_cutoff``.
+    n_max = None takes the cube from ``_cutoff``. A mode energy scale
+    (2 pi / L)^sigma / 2m past the doubles is a DomainError.
     """
-    eps_scale = (2.0 * math.pi / L) ** spec.sigma / (2.0 * spec.mass)
+    try:
+        eps_scale = (2.0 * math.pi / L) ** spec.sigma / (2.0 * spec.mass)
+    except OverflowError:
+        eps_scale = math.inf
+    if eps_scale == math.inf:  # inf * 0 would drop the k = 0 mode from the sum
+        raise DomainError(
+            f"mode energy (2 pi / L)^sigma / 2m leaves the doubles at box edge L={L!r} "
+            f"(natural units), sigma={spec.sigma:g}, mass={spec.mass!r}"
+        )
     if n_max is None:
         n_max = _cutoff(int(spec.d), spec.sigma, eps_scale, T, r)
     terms = []
@@ -160,7 +178,15 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
                 f"outermost mode shell still contributes {shell / total:.2e} "
                 f"of the sum at n_max={box.n_max}; increase n_max"
             )
-    return _spec_constraint(spec, total / L_nat ** int(spec.d), 0)
+    try:
+        volume = L_nat**box.d
+    except OverflowError:
+        volume = math.inf
+    if not _all_normal(volume):
+        raise DomainError(
+            f"box volume L^d = {volume!r} leaves the normal doubles at box edge L={box.L!r}, d={box.d}"
+        )
+    return _spec_constraint(spec, total / volume, 0)
 
 
 # Bernoulli numbers B_2 .. B_20, used by the Euler-Maclaurin corrections.

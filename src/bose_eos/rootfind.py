@@ -25,7 +25,7 @@ import math
 import sys
 
 from .errors import ConvergenceError, DomainError
-from .special import CLASSICAL_Y, _bose_any_order, _bose_pair
+from .special import CLASSICAL_Y, SMALL_Y_SWITCH, _bose_any_order, _bose_expansion, _bose_pair
 
 # Bisection-only region: for derivative orders <= 1 the Newton slope
 # diverges as r -> 0, so below this beta*r the plain bracket halving is used.
@@ -84,7 +84,11 @@ def solve_bose_equation(
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
     for _ in range(_MAX_ITER):
-        g_order, g_lower = _bose_pair(order, r / T)
+        y = r / T
+        if 0.0 < y < SMALL_Y_SWITCH:
+            g_order, g_lower = _bose_expansion(order, y).value, None
+        else:  # the series route's pair, or bose_g's value where r / T underflows to 0
+            g_order, g_lower = _bose_pair(order, y)
         phi = math.log(g_order) + log_ratio
         if abs(phi) <= _LOG_TOL:
             return r, g_lower
@@ -97,7 +101,7 @@ def solve_bose_equation(
         newton = None
         if r > floor:
             if g_lower is None:
-                g_lower = _bose_any_order(order - 1.0, r / T).value
+                g_lower = _bose_any_order(order - 1.0, y).value
             # d phi / dr = -g_(order-1)(r/T) / (T g_order(r/T))
             slope = -g_lower / (T * g_order)
             if slope != 0.0:

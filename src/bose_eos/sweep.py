@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError
 from .gas import GasSpec, _constraint_constants
@@ -31,47 +31,64 @@ _SPACINGS = ("linear", "log")
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """One sweep: a gas, a held constraint, and a temperature grid."""
-
+class _SweepRequest(NamedTuple):
     spec: GasSpec
     constraint: str
     value: float
     T_min: float
     T_max: float
     points: int
-    spacing: str = "linear"
-    columns: tuple[str, ...] = COLUMNS
+    spacing: str
+    columns: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.constraint not in _CONSTRAINTS:
-            raise DomainError(
-                f"constraint must be one of {_CONSTRAINTS}, got {self.constraint!r}"
-            )
-        if not (self.value > 0.0):
-            raise DomainError(f"constraint value must be positive, got {self.value!r}")
-        if not (0.0 < self.T_min < self.T_max):
-            raise DomainError(
-                f"need 0 < T_min < T_max, got T_min={self.T_min!r}, T_max={self.T_max!r}"
-            )
-        if self.T_max == math.inf:
-            raise DomainError(f"T_max must be finite, got T_max={self.T_max!r}")
-        if self.points < 2:
-            raise DomainError(f"need at least 2 grid points, got {self.points!r}")
-        if self.spacing not in _SPACINGS:
-            raise DomainError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
-        unknown = [c for c in self.columns if c not in COLUMNS]
-        if unknown or not self.columns:
+
+class SweepRequest(_SweepRequest):
+    """One sweep: a gas, a held constraint, and a temperature grid.
+
+    A named tuple that validates its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        spec: GasSpec,
+        constraint: str,
+        value: float,
+        T_min: float,
+        T_max: float,
+        points: int,
+        spacing: str = "linear",
+        columns: tuple[str, ...] = COLUMNS,
+    ):
+        if constraint not in _CONSTRAINTS:
+            raise DomainError(f"constraint must be one of {_CONSTRAINTS}, got {constraint!r}")
+        if not (value > 0.0):
+            raise DomainError(f"constraint value must be positive, got {value!r}")
+        if not (0.0 < T_min < T_max):
+            raise DomainError(f"need 0 < T_min < T_max, got T_min={T_min!r}, T_max={T_max!r}")
+        if T_max == math.inf:
+            raise DomainError(f"T_max must be finite, got T_max={T_max!r}")
+        if points < 2:
+            raise DomainError(f"need at least 2 grid points, got {points!r}")
+        if spacing not in _SPACINGS:
+            raise DomainError(f"spacing must be one of {_SPACINGS}, got {spacing!r}")
+        unknown = [c for c in columns if c not in COLUMNS]
+        if unknown or not columns:
             raise DomainError(f"unknown columns {unknown}; available: {COLUMNS}")
+        return super().__new__(cls, spec, constraint, value, T_min, T_max, points, spacing, columns)
+
+    @classmethod
+    def _make(cls, iterable) -> "SweepRequest":
+        """Through __new__, so that _replace validates too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     """Ordered sweep rows plus the column schema they were built under."""
 
     columns: tuple[str, ...]
-    rows: tuple[dict, ...] = field(default_factory=tuple)
+    rows: tuple[dict, ...] = ()
 
     def to_csv(self) -> str:
         lines = [f"# {SCHEMA_VERSION} columns: {','.join(self.columns)}"]

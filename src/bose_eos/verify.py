@@ -14,9 +14,8 @@ next to the bound it is held to; `verdict` writes the one-line PASS/FAIL form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .criticality import (
     chemical_potential_asymptotic,
@@ -55,8 +54,7 @@ L_STAR = 16.0
 BOX_RTOL = 1e-3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verification outcome: passed iff measured <= tolerance."""
 
     name: str
@@ -117,8 +115,7 @@ class SharedWork:
         ]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named check: `measure` gives the worst case (and a detail), held to `tolerance`.
 
     A callable tolerance is computed from the run's shared work. `budget_s`

@@ -1,5 +1,6 @@
 """End-to-end command-line checks through real subprocesses."""
 
+import functools
 import json
 import math
 import os
@@ -94,6 +95,7 @@ def test_tc_refuses_a_non_finite_value():
 def test_start_up_loads_neither_numpy_nor_scipy(argv):
     code, loaded = imported_modules(argv)
     assert code == 0
+    assert not (loaded - bare_interpreter_modules()) & {"dataclasses", "inspect"}
     loaded = {name.split(".")[0] for name in loaded}
     assert "bose_eos" in loaded
     assert not loaded & {"numpy", "scipy"}
@@ -112,22 +114,31 @@ def imported_modules(argv):
     return proc.returncode, loaded
 
 
+@functools.cache
+def bare_interpreter_modules():
+    """Modules `python -c pass` imports here, such as those a site .pth file loads."""
+    return imported_modules(["-c", "pass"])[1]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
         (["tc", "--d", "3", "--sigma", "2", "--density", "1.0"], 0),
         (["sweep", "--d", "3", "--sigma", "2", "--density", "1.0",
           "--tmin", "0.2", "--tmax", "2.0", "--points", "50"], 0),
+        (["tc", "--d", "3", "--sigma", "2.5", "--density", "1.0"], 2),
         (["tc", "--d", "3", "--sigma", "2"], 4),
         (["verify", "--level", "bogus"], 4),
     ],
-    ids=["tc", "sweep", "config-error", "bad-level"],
+    ids=["tc", "sweep", "domain-error", "config-error", "bad-level"],
 )
 def test_subcommands_load_neither_the_suite_nor_the_oracles(argv, code):
     exit_code, loaded = imported_modules(["-m", "bose_eos", *argv])
     assert exit_code == code
     assert "bose_eos.cli" in loaded
     assert not loaded & {"bose_eos.verify", "bose_eos.oracle", "bose_eos.criticality"}
+    # every record is a named tuple, and dataclasses would bring inspect
+    assert not (loaded - bare_interpreter_modules()) & {"dataclasses", "inspect"}
 
 
 def test_level_choices_are_the_suites_levels(capsys):

@@ -54,9 +54,12 @@ def term_log(monkeypatch):
 
         return wrapped
 
-    # the solver's values: series pairs, and below the switch bose_g inside _bose_pair
+    # the solver's values: series pairs, and below the switch the expansion itself
     monkeypatch.setattr(
         bose_eos.rootfind, "_bose_pair", pair_recorder(bose_eos.rootfind._bose_pair)
+    )
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_expansion", recorder(bose_eos.rootfind._bose_expansion)
     )
     monkeypatch.setattr(bose_eos.special, "bose_g", recorder(bose_eos.special.bose_g))
     monkeypatch.setattr(

@@ -145,6 +145,22 @@ def test_finite_density_domain():
         finite_density(SPEC32, box, T=1.0, mu=0.0)  # k=0 occupation diverges
 
 
+@pytest.mark.parametrize(
+    "sigma, mass, L, names",
+    [
+        # (2 pi / L)^2 overflows
+        (2.0, 1.0, 1e-160, r"mode energy .* box edge L=1e-160 \(natural units\), sigma=2,"),
+        # (2 pi / L)^2 is a double, over 2m it is not
+        (2.0, 1e-300, 1e-100, r"mode energy .* box edge L=1e-100 .* mass=1e-300"),
+        # L^3 underflows
+        (0.5, 1.0, 1e-160, r"box volume L\^d = 0\.0 .* box edge L=1e-160, d=3"),
+    ],
+)
+def test_finite_density_outside_the_doubles_is_a_domain_error(sigma, mass, L, names):
+    with pytest.raises(DomainError, match=names):
+        finite_density(GasSpec(d=3.0, sigma=sigma, mass=mass), BoxSpec(L=L, d=3), 1.0, -0.5)
+
+
 def test_finite_density_converges_to_bulk():
     T, r = 1.0, 0.5
     bulk = density_at(SPEC32, T, r)

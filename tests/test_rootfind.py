@@ -79,8 +79,9 @@ def test_sides_outside_the_normal_doubles_are_a_domain_error(prefactor, target):
 
 
 def test_bose_calls_per_solve_far_from_tc(monkeypatch):
-    # Every Bose pass a solve makes goes through these two names: a value, on
-    # the series route with its slope from the same pass, or a separate slope.
+    # Every Bose pass a solve makes goes through these three names: a value, on
+    # the series route with its slope from the same pass, a value on the
+    # expansion route, or a separate slope.
     calls = [0]
 
     def counted(fn):
@@ -91,6 +92,9 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(bose_eos.rootfind, "_bose_pair", counted(bose_eos.rootfind._bose_pair))
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_expansion", counted(bose_eos.rootfind._bose_expansion)
+    )
     monkeypatch.setattr(
         bose_eos.rootfind, "_bose_any_order", counted(bose_eos.rootfind._bose_any_order)
     )
@@ -120,7 +124,7 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
 def test_far_normal_solve_takes_no_separate_slope_on_the_series_route(monkeypatch, solve, tc):
     # At T = 10 T_c every iterate sits at y >= SMALL_Y_SWITCH, where one
     # Horner pass gives the value and the Newton slope together.
-    pair_ys, slope_ys = [], []
+    pair_ys, expansion_ys, slope_ys = [], [], []
 
     def recorded(fn, ys):
         def wrapped(nu, y):
@@ -133,12 +137,15 @@ def test_far_normal_solve_takes_no_separate_slope_on_the_series_route(monkeypatc
         bose_eos.rootfind, "_bose_pair", recorded(bose_eos.rootfind._bose_pair, pair_ys)
     )
     monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_expansion", recorded(bose_eos.rootfind._bose_expansion, expansion_ys)
+    )
+    monkeypatch.setattr(
         bose_eos.rootfind, "_bose_any_order", recorded(bose_eos.rootfind._bose_any_order, slope_ys)
     )
     spec = GasSpec(d=3.0, sigma=2.0)
     assert solve(spec, 10.0 * tc(spec, 1.0), 1.0).r > 0.0
     assert pair_ys and min(pair_ys) >= SMALL_Y_SWITCH, pair_ys
-    assert slope_ys == []
+    assert expansion_ys == slope_ys == []
 
 
 @pytest.mark.xfail(raises=ConvergenceError, strict=True, reason="ROADMAP F, near-T_c half")
