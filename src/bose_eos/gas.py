@@ -20,7 +20,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ZeroTemperatureBEC
 from .special import gamma, zeta
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -73,24 +73,6 @@ class GasSpec(_GasSpec):
     @property
     def d_over_sigma(self) -> float:
         return self.d / self.sigma
-
-    def to_mapping(self) -> dict:
-        """Flat key-value form consumed by the CLI config loader."""
-        return self._asdict()
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "GasSpec":
-        unknown = set(mapping) - {"d", "sigma", "mass", "units"}
-        if unknown:
-            raise DomainError(f"unknown GasSpec keys: {sorted(unknown)}")
-        if "d" not in mapping or "sigma" not in mapping:
-            raise DomainError("GasSpec mapping needs at least 'd' and 'sigma'")
-        return cls(
-            d=float(mapping["d"]),
-            sigma=float(mapping["sigma"]),
-            mass=float(mapping.get("mass", 1.0)),
-            units=str(mapping.get("units", NATURAL)),
-        )
 
 
 def _scales(spec: GasSpec) -> tuple[float, float]:
@@ -259,34 +241,49 @@ def _spec_constraint(spec: GasSpec, natural: float, k: int) -> float:
     )
 
 
-def _constraint_constants(spec: GasSpec, value: float, k: int) -> tuple:
-    """(value in natural units, A(d, sigma)): what a density (k = 0) or
-    pressure (k = 1) fixes for every temperature of a solve.
+def _transition(spec: GasSpec, value: float, k: int) -> tuple:
+    """(T_c, value in natural units, A(d, sigma)) at a density (k = 0) or pressure (k = 1).
 
-    Either is None where it leaves the doubles. A solve that needs it then
-    computes it again, which raises the DomainError with the solve's state.
+    T_c is the r = 0 boundary of value = T^k lambda_T^-d A g_(d/sigma + k)(r / T),
+    taken in logs where the direct product leaves the normal doubles; a T_c
+    past the doubles is a DomainError. The natural value and A, fixed for
+    every T of a solve, are None where they leave the doubles: a solve that
+    needs one then computes it again, which raises with the solve's state.
     """
+    name = ("rho", "P")[k]
+    if not value > 0.0:
+        raise DomainError(f"{('density', 'pressure')[k]} must be positive, got {name}={value!r}")
+    if not k and spec.d <= spec.sigma:
+        raise ZeroTemperatureBEC(
+            f"d = {spec.d:g} <= sigma = {spec.sigma:g}: condensation only at T = 0"
+        )
+    nu = spec.d_over_sigma
     try:
         natural = _natural_constraint(spec, value, k)
-    except DomainError:
+    except DomainError:  # value L0^d / E0^k past the normal doubles
         natural = None
     try:
         a = prefactor_A(spec.d, spec.sigma)
-    except DomainError:
+    except DomainError:  # A(3000, 1) = e^15346
         a = None
-    return natural, a
-
-
-def _critical_temperature_in_logs(spec: GasSpec, value: float, k: int) -> float:
-    """T_c taken in log form, for where the direct product leaves the doubles.
-
-    Inverts value L0^d / E0^k = T^k (m T / 2 pi)^(d/sigma) A zeta(d/sigma + k),
-    the r = 0 density (k = 0) or pressure (k = 1) in natural units. A T_c
-    that is itself outside the doubles is a DomainError naming d, sigma and
-    the constraint.
-    """
+    direct = (math.nan,)
+    if natural is not None and a is not None:
+        try:
+            if k:
+                lam0_d = (2.0 * math.pi / spec.mass) ** (spec.d / spec.sigma)
+                bracket = lam0_d * natural / (zeta(1.0 + nu) * a)
+                tc = bracket ** (spec.sigma / (spec.d + spec.sigma))
+                direct = (lam0_d, bracket, tc)
+            else:
+                bracket = natural / (a * zeta(nu))
+                tc = (2.0 * math.pi / spec.mass) * bracket ** (spec.sigma / spec.d)
+                direct = (bracket, tc)
+        except OverflowError:  # (2 pi)^750 at d = 1500, sigma = 2
+            pass
+    if _all_normal(*direct):
+        return tc, natural, a
+    # value L0^d / E0^k = T^k (m T / 2 pi)^(d/sigma) A zeta(d/sigma + k), in logs
     energy, length = _scales(spec)
-    nu = spec.d_over_sigma
     log_tc = (
         math.log(value)
         + spec.d * math.log(length)
@@ -297,10 +294,10 @@ def _critical_temperature_in_logs(spec: GasSpec, value: float, k: int) -> float:
     ) / (nu + k)
     tc = math.exp(log_tc) if log_tc <= _LN_MAX else math.inf
     if 0.0 < tc < math.inf:
-        return tc
+        return tc, natural, a
     raise DomainError(
         f"T_c = {tc!r} is outside the double range "
-        f"(d={spec.d:g}, sigma={spec.sigma:g}, {('rho', 'P')[k]}={value!r})"
+        f"(d={spec.d:g}, sigma={spec.sigma:g}, {name}={value!r})"
     )
 
 

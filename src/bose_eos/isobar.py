@@ -17,8 +17,7 @@ import math
 from typing import NamedTuple
 
 from .errors import CondensedRegion, DomainError
-from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
-from .gas import _natural_constraint, prefactor_A
+from .gas import GasSpec, _transition
 from .isochore import (
     CRITICAL_WINDOW,
     REGIME_NORMAL,
@@ -26,7 +25,6 @@ from .isochore import (
     critical_temperature_density,
     pressure_at,
 )
-from .special import zeta
 
 REGIME_BOUNDARY = "condensed_boundary"
 
@@ -58,19 +56,7 @@ def critical_temperature_pressure(spec: GasSpec, P: float) -> float:
     Valid for every d > 0; lambda_0 = lambda_T T^(1/sigma) is temperature
     independent, which is what makes the inversion closed-form.
     """
-    if not P > 0.0:
-        raise DomainError(f"pressure must be positive, got P={P!r}")
-    try:
-        lam0_d = (2.0 * math.pi / spec.mass) ** (spec.d / spec.sigma)
-        bracket = lam0_d * _natural_constraint(spec, P, 1) / (
-            zeta(1.0 + spec.d_over_sigma) * prefactor_A(spec.d, spec.sigma)
-        )
-        tc = bracket ** (spec.sigma / (spec.d + spec.sigma))
-    except (OverflowError, DomainError):  # (2 pi)^750 at d = 1500, sigma = 2; A; or P L0^d
-        lam0_d = bracket = tc = math.nan
-    if _all_normal(lam0_d, bracket, tc):
-        return tc
-    return _critical_temperature_in_logs(spec, P, 1)
+    return _transition(spec, P, 1)[0]
 
 
 def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
@@ -82,8 +68,8 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
     """
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
-    tc = critical_temperature_pressure(spec, P)  # validates P
-    point = _isobar_state(spec, T, P, tc, *_constraint_constants(spec, P, 1))
+    tc, target, a = _transition(spec, P, 1)  # validates P
+    point = _isobar_state(spec, T, P, tc, target, a)
     if point is None:
         raise CondensedRegion(
             f"T = {T:g} is below T_c(P) = {tc:g}; the condensed constant-pressure "
@@ -96,7 +82,7 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
 def _isobar_state(
     spec: GasSpec, T: float, P: float, tc: float, target: float | None, a: float | None
 ) -> IsobarPoint | None:
-    """solve_gap_isobar at T > 0 from tc = T_c(P) and _normal_state's constants; None below."""
+    """solve_gap_isobar at T > 0 from gas._transition's (T_c, target, a) at P; None below."""
     t_P = (T - tc) / tc
     if t_P < -CRITICAL_WINDOW:
         return None

@@ -8,9 +8,8 @@ is inverted for the gap r = -mu in the normal phase, or solved for the
 condensate fraction Psi^2 with r = 0 below the transition. The critical
 temperature follows from the r = 0, Psi = 0 boundary and exists only for
 d > sigma; otherwise condensation happens at absolute zero and the solvers
-raise :class:`ZeroTemperatureBEC`. The states of this solver and the isobar's
-come from the core ``_normal_state``, whose evaluator ``_constraint_at`` also
-gives ``pressure_at`` and ``density_at``.
+raise :class:`ZeroTemperatureBEC`. T_c comes from ``gas._transition``, and
+the states of this solver and the isobar's from the core ``_normal_state``.
 """
 
 from __future__ import annotations
@@ -18,12 +17,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PoleError, ZeroTemperatureBEC
-from .gas import GasSpec, _all_normal, _constraint_constants, _critical_temperature_in_logs
-from .gas import _density_prefactor, _log_prefactor, _natural_constraint, _scales, _spec_constraint
-from .gas import prefactor_A
+from .errors import ConvergenceError, DomainError, PoleError
+from .gas import _LN_MAX, GasSpec, _density_prefactor, _log_prefactor, _natural_constraint, _scales
+from .gas import _spec_constraint, _transition
 from .rootfind import solve_bose_equation
-from .special import CLASSICAL_Y, bose_g, zeta
+from .special import CLASSICAL_Y, bose_g
 
 REGIME_NORMAL = "normal"
 REGIME_CONDENSED = "condensed"
@@ -60,22 +58,7 @@ def critical_temperature_density(spec: GasSpec, rho: float) -> float:
     Raises ZeroTemperatureBEC for d <= sigma, where the boundary value
     g_(d/sigma)(0) diverges and condensation exists only at T = 0.
     """
-    if not rho > 0.0:
-        raise DomainError(f"density must be positive, got rho={rho!r}")
-    if spec.d <= spec.sigma:
-        raise ZeroTemperatureBEC(
-            f"d = {spec.d:g} <= sigma = {spec.sigma:g}: condensation only at T = 0"
-        )
-    try:
-        bracket = _natural_constraint(spec, rho, 0) / (
-            prefactor_A(spec.d, spec.sigma) * zeta(spec.d_over_sigma)
-        )
-        tc = (2.0 * math.pi / spec.mass) * bracket ** (spec.sigma / spec.d)
-    except DomainError:  # A(3000, 1) = e^15346, or a subnormal rho L0^d
-        bracket = tc = math.nan
-    if _all_normal(bracket, tc):
-        return tc
-    return _critical_temperature_in_logs(spec, rho, 0)
+    return _transition(spec, rho, 0)[0]
 
 
 def pressure_at(spec: GasSpec, T: float, r: float) -> float:
@@ -105,24 +88,20 @@ def _natural_gap(spec: GasSpec, T: float, r: float) -> float:
     return r / _scales(spec)[0]
 
 
-def _constraint_at(
-    spec: GasSpec, T: float, r_nat: float, k: int, pref: float | None = None
-) -> float:
+def _constraint_at(spec: GasSpec, T: float, r_nat: float, k: int) -> float:
     """The density (k = 0) or pressure (k = 1) T^k lambda_T^-d A g_(d/sigma + k)(r_nat / T).
 
-    In spec units, at the natural gap r_nat; pref is lambda_T^-d A if the
-    caller holds it. Without pref, as for the public evaluators, a value
-    past the doubles is a DomainError; the state solvers name their state.
+    In spec units, at the natural gap r_nat; a value past the doubles is a
+    DomainError naming d, sigma and T.
     """
     y = r_nat / T
-    public = pref is None
-    if public and y >= CLASSICAL_Y:  # g = e^-y in doubles: the product in logs
-        natural = math.exp(_log_prefactor(spec, T, k) - y)
+    if y >= CLASSICAL_Y:  # g = e^-y in doubles: the product in logs
+        log_natural = _log_prefactor(spec, T, k) - y
+        natural = math.exp(log_natural) if log_natural <= _LN_MAX else math.inf
     else:
-        g = bose_g(spec.d_over_sigma + k, y).value
-        natural = T**k * (_density_prefactor(spec, T) if public else pref) * g
+        natural = T**k * _density_prefactor(spec, T) * bose_g(spec.d_over_sigma + k, y).value
     value = _spec_constraint(spec, natural, k)
-    if value < math.inf or not public:
+    if value < math.inf:
         return value
     raise DomainError(
         f"{('rho', 'P')[k]} = {value!r} is outside the double range "
@@ -139,14 +118,13 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     """
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
-    tc = critical_temperature_density(spec, rho)  # validates rho, d > sigma
-    return _isochore_state(spec, T, rho, tc, *_constraint_constants(spec, rho, 0))
+    return _isochore_state(spec, T, rho, *_transition(spec, rho, 0))  # validates rho, d > sigma
 
 
 def _isochore_state(
     spec: GasSpec, T: float, rho: float, tc: float, target: float | None, a: float | None
 ) -> ThermoPoint:
-    """solve_gap_isochore at T > 0 from tc = T_c(rho) and the constants of _normal_state."""
+    """solve_gap_isochore at T > 0 from gas._transition's (T_c, target, a) at rho."""
     t = (T - tc) / tc
     psi2 = 0.0
     if abs(t) <= CRITICAL_WINDOW:
@@ -168,8 +146,8 @@ def _normal_state(
 
     r solves value = T^k lambda_T^-d A g_(d/sigma + k)(r / T) if solve, else
     r = 0; the conjugate is the pressure or the density. target (value in
-    natural units) and a (A(d, sigma)) come from gas._constraint_constants,
-    which sweeps call once for all rows. Errors name d, sigma, T and value.
+    natural units) and a (A(d, sigma)) come from gas._transition, which
+    sweeps call once for all rows. Errors name d, sigma, T and value.
     """
     nu = spec.d_over_sigma
     r_nat, g_lower = 0.0, None
@@ -191,12 +169,11 @@ def _normal_state(
         conjugate = T * value * energy if k == 0 else value / (T * energy)
     elif k and not solve and spec.d <= spec.sigma:  # the r = 0 density diverges
         return 0.0, math.inf
-    elif k and g_lower is not None and nu + 1.0 - 1.0 == nu:
-        # The isobar's density g_nu(r / T): the solve's last pass summed order
-        # (nu + 1) - 1, which is bit for bit bose_g's g_nu where it rounds to nu.
-        conjugate = _spec_constraint(spec, pref * g_lower, 0)
-    else:
-        conjugate = _constraint_at(spec, T, r_nat, 1 - k, pref)
+    else:  # the isobar's g_nu(r / T) may be its solve's last pass, order (nu + 1) - 1,
+        # bit for bit bose_g's g_nu where that rounds to nu; nu + 1 - k rounds differently
+        reuse = k and g_lower is not None and nu + 1.0 - 1.0 == nu
+        g = g_lower if reuse else bose_g(nu + (1 - k), r_nat / T).value
+        conjugate = _spec_constraint(spec, T ** (1 - k) * pref * g, 1 - k)
     if conjugate == math.inf:
         raise DomainError(
             f"{('isochore', 'isobar')[k]} state at d={spec.d!r}, sigma={spec.sigma!r}, "

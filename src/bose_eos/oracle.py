@@ -29,7 +29,6 @@ _EXPM1_MAX = math.log(sys.float_info.max)
 class _BoxSpec(NamedTuple):
     L: float
     d: int
-    n_max: int | None
 
 
 class BoxSpec(_BoxSpec):
@@ -37,21 +36,19 @@ class BoxSpec(_BoxSpec):
 
     d must be a small integer (the discrete sum enumerates integer mode
     vectors, unlike the analytic modules where d is a free real
-    parameter). n_max = None takes the smallest cutoff whose omitted
-    occupation is proven below 1e-13 of the cube's sum. A named tuple that
-    validates its fields.
+    parameter). The sum takes the smallest cutoff whose omitted occupation
+    is proven below 1e-13 of the cube's sum. A named tuple that validates
+    its fields.
     """
 
     __slots__ = ()
 
-    def __new__(cls, L: float, d: int, n_max: int | None = None):
+    def __new__(cls, L: float, d: int):
         if not (isinstance(d, int) and 1 <= d <= 3):
             raise DomainError(f"box dimension must be an integer in 1..3, got {d!r}")
         if not (L > 0.0):
             raise DomainError(f"box edge must be positive, got L={L!r}")
-        if n_max is not None and not 1 <= n_max <= _N_MAX_CAP:
-            raise DomainError(f"mode cutoff must be in 1..{_N_MAX_CAP}, got n_max={n_max!r}")
-        return super().__new__(cls, L, d, n_max)
+        return super().__new__(cls, L, d)
 
     @classmethod
     def _make(cls, iterable) -> "BoxSpec":
@@ -120,7 +117,7 @@ def _cutoff(d: int, sigma: float, eps_scale: float, T: float, r: float) -> int:
     )
 
 
-def _box_sum(spec: GasSpec, L: float, T: float, r: float, n_max: int | None) -> float:
+def _box_sum(spec: GasSpec, L: float, T: float, r: float, n_max: int | None = None) -> float:
     """Total occupation over the mode cube [-n_max, n_max]^d, natural units.
 
     n_max = None takes the cube from ``_cutoff``. A mode energy scale
@@ -170,14 +167,7 @@ def finite_density(spec: GasSpec, box: BoxSpec, T: float, mu: float) -> float:
         )
     r_nat = -mu_nat
 
-    total = _box_sum(spec, L_nat, T, r_nat, box.n_max)
-    if box.n_max is not None:
-        shell = total - _box_sum(spec, L_nat, T, r_nat, box.n_max - 1)
-        if shell > _TAIL_RTOL * total:
-            raise ConvergenceError(
-                f"outermost mode shell still contributes {shell / total:.2e} "
-                f"of the sum at n_max={box.n_max}; increase n_max"
-            )
+    total = _box_sum(spec, L_nat, T, r_nat)
     try:
         volume = L_nat**box.d
     except OverflowError:

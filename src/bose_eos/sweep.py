@@ -14,9 +14,9 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .gas import GasSpec, _constraint_constants
-from .isobar import REGIME_BOUNDARY, _isobar_state, critical_temperature_pressure
-from .isochore import _isochore_state, critical_temperature_density
+from .gas import GasSpec, _transition
+from .isobar import REGIME_BOUNDARY, _isobar_state
+from .isochore import _isochore_state
 
 SCHEMA_VERSION = "bose-eos v1"
 COLUMNS = ("T", "t", "r", "mu", "psi2", "rho", "P", "regime")
@@ -164,14 +164,11 @@ def run_sweep(request: SweepRequest) -> SweepTable:
     """
     spec, value = request.spec, request.value
     isobar = request.constraint == CONSTRAINT_PRESSURE
-    if isobar:
-        tc, state_at = critical_temperature_pressure(spec, value), _isobar_state
-    else:
-        tc, state_at = critical_temperature_density(spec, value), _isochore_state
-    constants = _constraint_constants(spec, value, int(isobar))
+    state_at = _isobar_state if isobar else _isochore_state
+    tc, target, a = _transition(spec, value, int(isobar))
     rows = []
     for T in temperature_grid(request):
-        pt = state_at(spec, T, value, tc, *constants)
+        pt = state_at(spec, T, value, tc, target, a)
         if pt is None:  # no isobar state below T_c(P): the grid row is a sentinel
             rows.append({
                 "T": T,

@@ -165,6 +165,11 @@ README_EXAMPLES = {
         "--tmin", "4", "--tmax", "40", "--points", "40", "--spacing", "log",
     ],
     "landau.csv": ["landau", "--d", "3", "--sigma", "2", "--density", "1.0", "--t=-0.1,0,0.1"],
+    "sweep_pressure_si.csv": [
+        "sweep", "--d", "3", "--sigma", "2", "--mass", "1.443160648e-25", "--units", "si",
+        "--pressure", "1e-11", "--tmin", "1e-7", "--tmax", "1e-5", "--points", "12",
+        "--spacing", "log",
+    ],
 }
 
 

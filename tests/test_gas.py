@@ -39,11 +39,6 @@ def test_spec_validation():
         GasSpec(d=3.0, sigma=2.0, units="cgs")
 
 
-def test_spec_mapping_roundtrip():
-    spec = GasSpec(d=2.5, sigma=1.7, mass=3.0, units="si")
-    assert GasSpec.from_mapping(spec.to_mapping()) == spec
-
-
 def test_thermal_wavelength_natural_quadratic():
     spec = GasSpec(d=3.0, sigma=2.0)
     assert thermal_wavelength(spec, 2.0 * math.pi) == pytest.approx(1.0, rel=1e-14)

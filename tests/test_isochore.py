@@ -240,12 +240,18 @@ def test_validation_errors():
 )
 def test_evaluator_overflow_is_a_domain_error_naming_the_state(evaluator, units):
     # at T = 1e200, T lambda_T^-d A ~ 1e498 in natural units, and the density
-    # lambda_T^-d A zeta(1.5) ~ 1.7e299 / L0^3 ~ 7e366 in SI; each once came back as +-inf
+    # lambda_T^-d A zeta(1.5) ~ 1.7e299 / L0^3 ~ 7e366 in SI; each once came back as +-inf.
+    # At d = 1000, sigma = 1, T = 1, y = 40 is classical and e^(ln(T^k lambda_T^-d A) - y)
+    # = e^(2728 - 40) once raised a bare OverflowError
     spec = GasSpec(d=3.0, sigma=2.0, mass=1.0, units=units)
-    with pytest.raises(DomainError) as info:
-        evaluator(spec, 1e200, 0.0)
-    for part in ("d=3", "sigma=2", "T=1e+200", "double range"):
-        assert part in str(info.value)
+    for state, names in (
+        ((spec, 1e200, 0.0), ("d=3", "sigma=2", "T=1e+200")),
+        ((GasSpec(d=1000.0, sigma=1.0), 1.0, 40.0), ("d=1000", "sigma=1", "T=1.0")),
+    ):
+        with pytest.raises(DomainError) as info:
+            evaluator(*state)
+        for part in (*names, "double range"):
+            assert part in str(info.value)
     # at y = r / T = 1200, T^k lambda_T^-d A overflows and g = e^-y underflows,
     # but the value, (T / 2 pi)^1.5 T^k e^-y in natural units, is a double
     energy, length = _scales(spec)

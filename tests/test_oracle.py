@@ -127,10 +127,6 @@ def test_box_spec_validation():
         BoxSpec(L=8.0, d=4)
     with pytest.raises(DomainError):
         BoxSpec(L=0.0, d=3)
-    with pytest.raises(DomainError):
-        BoxSpec(L=8.0, d=3, n_max=0)
-    with pytest.raises(DomainError):  # the 32-bit count bound is checked up to the cap
-        BoxSpec(L=8.0, d=3, n_max=_N_MAX_CAP + 1)
 
 
 def test_finite_density_domain():
@@ -171,17 +167,6 @@ def test_finite_density_converges_to_bulk():
     assert errors[0] > errors[1] > errors[2]
     assert errors[1] <= 1e-3
     assert errors[2] <= 1e-6
-
-
-def test_finite_density_explicit_cutoff():
-    box_auto = BoxSpec(L=8.0, d=3)
-    box_wide = BoxSpec(L=8.0, d=3, n_max=64)
-    kwargs = dict(T=1.0, mu=-0.5)
-    assert finite_density(SPEC32, box_wide, **kwargs) == pytest.approx(
-        finite_density(SPEC32, box_auto, **kwargs), rel=1e-13
-    )
-    with pytest.raises(ConvergenceError):
-        finite_density(SPEC32, BoxSpec(L=8.0, d=3, n_max=2), **kwargs)
 
 
 # (L, T, r) per sigma, with chosen cutoffs from 1 to about 30

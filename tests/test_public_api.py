@@ -81,7 +81,7 @@ def test_validation_holds_for_replace_and_make(record, field, bad):
         SPEC,
         GasSpec(d=3.0, sigma=1.5, mass=1.443e-25, units="si"),
         REQUEST,
-        BoxSpec(L=8.0, d=3, n_max=16),
+        BoxSpec(L=8.0, d=3),
         bose_eos.solve_gap_isochore(SPEC, 2.0, 1.0),
         bose_eos.run_sweep(REQUEST),
     ],

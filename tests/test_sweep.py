@@ -8,6 +8,9 @@ import sys
 
 import pytest
 
+import bose_eos.gas
+import bose_eos.isobar
+import bose_eos.isochore
 import bose_eos.sweep
 from bose_eos import (
     COLUMNS,
@@ -321,19 +324,44 @@ def test_isobar_rows_equal_solver_points(spec, rho, P):
 )
 def test_run_sweep_computes_tc_once_per_request(monkeypatch, constraint, tc_name):
     calls = []
-    tc_of = getattr(bose_eos.sweep, tc_name)
+    transition = bose_eos.sweep._transition
 
     def counted(*args):
         calls.append(args)
-        return tc_of(*args)
+        return transition(*args)
 
-    monkeypatch.setattr(bose_eos.sweep, tc_name, counted)
+    monkeypatch.setattr(bose_eos.sweep, "_transition", counted)
     request = SweepRequest(
         spec=SPEC32, constraint=constraint, value=1.0, T_min=0.2, T_max=8.0, points=40
     )
     rows = run_sweep(request).rows
     assert len(rows) == 40 and rows[0]["regime"] != rows[-1]["regime"] == "normal"
-    assert calls == [(SPEC32, 1.0)]
+    assert calls == [(SPEC32, 1.0, ("density", "pressure").index(constraint))]
+    # that one T_c is the public function's, and the rows' t is measured from it
+    tc = getattr(bose_eos, tc_name)(SPEC32, 1.0)
+    assert rows[-1]["t"] == (rows[-1]["T"] - tc) / tc
+
+
+@pytest.mark.parametrize("solve", [solve_gap_isochore, solve_gap_isobar])
+def test_point_solve_computes_a_and_the_natural_value_once(monkeypatch, solve):
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def spy(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (bose_eos.gas, bose_eos.isochore, bose_eos.isobar):
+        for name in ("prefactor_A", "_natural_constraint"):
+            if hasattr(module, name):  # wherever the solve's modules look the name up
+                counted(module, name)
+    point = solve(SPEC32, 5.0, 1.0)
+    assert point.regime == "normal" and point.r > 0.0
+    assert sorted(calls) == ["_natural_constraint", "prefactor_A"]
 
 
 def test_formatting_uses_17_significant_digits():
