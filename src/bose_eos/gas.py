@@ -147,11 +147,16 @@ def _log_prefactor_A(d: float, sigma: float) -> float:
     )
 
 
-def _density_prefactor(spec: GasSpec, T: float, a: float | None = None) -> float:
-    """lambda_T^-d * A(d, sigma) in natural units; ``a`` is A if the caller holds it.
+def _prefactor(spec: GasSpec, T: float, k: int, a: float | None = None) -> tuple[float, float]:
+    """(lambda_T^-d A, ln(T^k lambda_T^-d A)) in natural units; ``a`` is A(d, sigma) if held.
 
-    Where it overflows (T = 1e250 at d/sigma = 1.5) it is a DomainError
-    naming d, sigma and T.
+    T^k lambda_T^-d A is the prefactor of g_(d/sigma + k) in the density
+    (k = 0) or pressure (k = 1) constraint, which the gap solver takes in
+    logs. The log is that of the product where the product is a normal
+    double, and a sum of logs where it leaves them (T = 1e250 at
+    d/sigma = 1.5, or A(3000, 1) = e^15346). Where A leaves the doubles,
+    lambda_T^-d A is the exponential of that sum at k = 0; a product or sum
+    past the doubles gives inf, which the caller's value then reports.
     """
     try:
         pref = (spec.mass * T / (2.0 * math.pi)) ** spec.d_over_sigma * (
@@ -159,34 +164,16 @@ def _density_prefactor(spec: GasSpec, T: float, a: float | None = None) -> float
         )
     except OverflowError:
         pref = math.inf
-    if pref < math.inf:
-        return pref
-    raise DomainError(
-        f"lambda_T^-d A = {pref!r} is outside the double range "
-        f"(d={spec.d:g}, sigma={spec.sigma:g}, T={T!r})"
-    )
-
-
-def _log_prefactor(spec: GasSpec, T: float, k: int, a: float | None = None) -> float:
-    """ln(T^k lambda_T^-d A(d, sigma)) in natural units; ``a`` is A if the caller holds it.
-
-    The prefactor of g_(d/sigma + k) in the density (k = 0) or pressure
-    (k = 1) constraint, which the gap solver takes in logs. It is the log of
-    the product where that is a normal double, and a sum of logs where the
-    product leaves them (T = 1e250 at d/sigma = 1.5, or an A past the doubles).
-    """
-    try:
-        pref = T**k * _density_prefactor(spec, T, a)
-    except DomainError:
-        pref = math.inf
-    if _all_normal(pref):
-        return math.log(pref)
+    except DomainError:  # A past the doubles: lambda_T^-d A from the sum of logs below
+        pref = None
+    pref_k = math.nan if pref is None else T**k * pref
+    if _all_normal(pref_k):
+        return pref, math.log(pref_k)
     log_a = _log_prefactor_A(spec.d, spec.sigma) if a is None else math.log(a)
-    return (
-        k * math.log(T)
-        + spec.d_over_sigma * (math.log(spec.mass) + math.log(T) - _LN_2PI)
-        + log_a
-    )
+    log_thermal = spec.d_over_sigma * (math.log(spec.mass) + math.log(T) - _LN_2PI)
+    if pref is None:
+        pref = math.exp(log_thermal + log_a) if log_thermal + log_a <= _LN_MAX else math.inf
+    return pref, k * math.log(T) + log_thermal + log_a
 
 
 def _all_normal(*values: float) -> bool:
@@ -228,6 +215,8 @@ def _spec_constraint(spec: GasSpec, natural: float, k: int) -> float:
     per natural volume with E0^k its energy factor. Where L0^d is subnormal
     it is divided out in two halves, as _natural_constraint applies it.
     """
+    if spec.units == NATURAL:  # E0 = L0 = 1: the value itself, bit for bit
+        return natural
     energy, length = _scales(spec)
     length_d = length**spec.d
     if _all_normal(length_d):
@@ -247,8 +236,9 @@ def _transition(spec: GasSpec, value: float, k: int) -> tuple:
     T_c is the r = 0 boundary of value = T^k lambda_T^-d A g_(d/sigma + k)(r / T),
     taken in logs where the direct product leaves the normal doubles; a T_c
     past the doubles is a DomainError. The natural value and A, fixed for
-    every T of a solve, are None where they leave the doubles: a solve that
-    needs one then computes it again, which raises with the solve's state.
+    every T of a solve, are None where they leave the doubles: a solve then
+    computes the natural value again, which raises with the solve's state,
+    and takes lambda_T^-d A from logs (``_prefactor``).
     """
     name = ("rho", "P")[k]
     if not value > 0.0:

@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .gas import _LN_MAX, GasSpec, _density_prefactor, _log_prefactor, _natural_constraint, _scales
+from .gas import _LN_MAX, GasSpec, _natural_constraint, _prefactor, _scales
 from .gas import _spec_constraint, _transition
 from .rootfind import solve_bose_equation
 from .special import CLASSICAL_Y, bose_g
@@ -95,11 +95,12 @@ def _constraint_at(spec: GasSpec, T: float, r_nat: float, k: int) -> float:
     DomainError naming d, sigma and T.
     """
     y = r_nat / T
+    pref, log_pref = _prefactor(spec, T, k)
     if y >= CLASSICAL_Y:  # g = e^-y in doubles: the product in logs
-        log_natural = _log_prefactor(spec, T, k) - y
+        log_natural = log_pref - y
         natural = math.exp(log_natural) if log_natural <= _LN_MAX else math.inf
     else:
-        natural = T**k * _density_prefactor(spec, T) * bose_g(spec.d_over_sigma + k, y).value
+        natural = T**k * pref * bose_g(spec.d_over_sigma + k, y).value
     value = _spec_constraint(spec, natural, k)
     if value < math.inf:
         return value
@@ -151,13 +152,14 @@ def _normal_state(
     """
     nu = spec.d_over_sigma
     r_nat, g_lower = 0.0, None
+    pref, log_pref = _prefactor(spec, T, k, a)
     try:
         if solve:
             if target is None:  # raises value's DomainError, which gets the state below
                 target = _natural_constraint(spec, value, k)
-            r_nat, g_lower = solve_bose_equation(nu + k, _log_prefactor(spec, T, k, a), target, T)
-        classical = r_nat / T >= CLASSICAL_Y
-        pref = None if classical else _density_prefactor(spec, T, a)
+            r_nat, g_lower = solve_bose_equation(nu + k, log_pref, target, T)
+        if pref == math.inf and r_nat / T < CLASSICAL_Y:  # the conjugate below needs it
+            raise DomainError(f"lambda_T^-d A = {pref!r} is outside the double range")
     except (ConvergenceError, DomainError) as exc:
         raise type(exc)(
             f"{('isochore', 'isobar')[k]} gap solve failed at d={spec.d!r}, "
@@ -165,7 +167,7 @@ def _normal_state(
         ) from exc
 
     energy, _ = _scales(spec)
-    if classical:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
+    if r_nat / T >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
         conjugate = T * value * energy if k == 0 else value / (T * energy)
     elif k and not solve and spec.d <= spec.sigma:  # the r = 0 density diverges
         return 0.0, math.inf

@@ -11,10 +11,12 @@ Two routes cover every real order:
 
 * y >= SMALL_Y_SWITCH (= 0.5): the series itself, by Horner's rule in
   z = e^-y (one exp per call), with a rigorous geometric tail bound and a
-  proven round-off bound; the powers n^-nu are cached per order, at most
-  81 of them for nu in (-1, 8]. The term count is the same for every
-  order >= 0, so the gap solver takes g_nu and its Newton slope g_(nu-1)
-  from one Horner pass with two accumulators (_bose_pair);
+  proven round-off bound. The powers n^-nu are cached per order as a
+  reversed Horner table, at most 81 entries for nu in (-1, 8], and a pass
+  of N terms takes its last N entries. The term count is the same for
+  every order >= 0, so the gap solver takes g_nu and its Newton slope
+  g_(nu-1) from one Horner pass with two accumulators (_bose_pair), over a
+  cached table of (n^-nu, n^-(nu-1)) pairs;
 * y < SMALL_Y_SWITCH: the small-argument (Robinson) expansion
 
       g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_{k >= 0} (-y)^k zeta(nu - k) / k!
@@ -224,22 +226,33 @@ def _series_terms_needed(nu: float, y: float, one_minus: float) -> int:
     return int(math.ceil(n)) + 1
 
 
-@functools.lru_cache(maxsize=512)
-def _series_powers(nu: float) -> tuple:
-    """n^-nu for n = 1 .. the term count of the series route at y = SMALL_Y_SWITCH.
+def _horner_table(nu: float, n_terms: int, pair: bool) -> tuple:
+    """The series route's coefficients n^-nu, or (n^-nu, n^-(nu-1)) if pair, for n = n_terms .. 1.
 
-    Larger y need no more terms, since the count falls as y grows.
+    Reversed already, in the order Horner's rule takes them.
+    """
+    down = range(n_terms, 0, -1)
+    return tuple((n**-nu, n ** -(nu - 1.0)) for n in down) if pair else tuple(n**-nu for n in down)
+
+
+@functools.lru_cache(maxsize=512)
+def _series_powers(nu: float, pair: bool = False) -> tuple:
+    """_horner_table through the term count of the series route at y = SMALL_Y_SWITCH.
+
+    Larger y need no more terms, since the count falls as y grows: a pass of
+    n_terms takes the last n_terms entries, the same coefficients in the
+    same order as a table built for that count.
     """
     n_terms = _series_terms_needed(nu, SMALL_Y_SWITCH, -math.expm1(-SMALL_Y_SWITCH))
-    return tuple(n**-nu for n in range(1, n_terms + 1))
+    return _horner_table(nu, n_terms, pair)
 
 
-def _series_powers_through(nu: float, n_terms: int) -> tuple:
-    """n^-nu for n = 1 .. at least n_terms, from the cache where it reaches that far."""
-    powers = _series_powers(nu)
-    if n_terms > len(powers):  # only if rounding breaks the fall of the count with y
-        powers = tuple(n**-nu for n in range(1, n_terms + 1))
-    return powers
+def _series_powers_through(nu: float, n_terms: int, pair: bool = False) -> tuple:
+    """_horner_table(nu, n_terms, pair), from the cache where it reaches that far."""
+    table = _series_powers(nu, pair)
+    if n_terms > len(table):  # only if rounding breaks the fall of the count with y
+        return _horner_table(nu, n_terms, pair)
+    return table[-n_terms:]
 
 
 def _bose_series(nu: float, y: float) -> EvalResult:
@@ -256,7 +269,7 @@ def _bose_series(nu: float, y: float) -> EvalResult:
     one_minus = -math.expm1(-y)
     n_terms = _series_terms_needed(nu, y, one_minus)
     value = 0.0
-    for a in _series_powers_through(nu, n_terms)[n_terms - 1 :: -1]:
+    for a in _series_powers_through(nu, n_terms):
         value = value * z + a
     value *= z
     n1 = n_terms + 1
@@ -398,19 +411,17 @@ def _bose_pair(nu: float, y: float) -> tuple:
     On the series route (y >= SMALL_Y_SWITCH) with nu >= 1 both sums come
     from one Horner pass with two accumulators: for orders >= 0 the term
     count does not depend on the order, so one z, one count and the same
-    cached powers in the same order give each sum bit for bit as
-    _bose_series does. Elsewhere the value is bose_g's, and a caller that
-    needs g_(nu-1) takes it from _bose_any_order: the expansion stops each
-    order at its own term.
+    powers in the same order, paired in one cached table, give each sum bit
+    for bit as _bose_series does. Elsewhere the value is bose_g's, and a
+    caller that needs g_(nu-1) takes it from _bose_any_order: the expansion
+    stops each order at its own term.
     """
     if y < SMALL_Y_SWITCH or nu < 1.0:
         return bose_g(nu, y).value, None
     z = math.exp(-y)
     n_terms = _series_terms_needed(nu, y, -math.expm1(-y))
-    upper = _series_powers_through(nu, n_terms)[n_terms - 1 :: -1]
-    lower = _series_powers_through(nu - 1.0, n_terms)[n_terms - 1 :: -1]
     value = value_lower = 0.0
-    for a, b in zip(upper, lower):
+    for a, b in _series_powers_through(nu, n_terms, pair=True):
         value = value * z + a
         value_lower = value_lower * z + b
     return value * z, value_lower * z

@@ -25,9 +25,9 @@ CONSTRAINT_DENSITY = "density"
 CONSTRAINT_PRESSURE = "pressure"
 _CONSTRAINTS = (CONSTRAINT_DENSITY, CONSTRAINT_PRESSURE)
 _SPACINGS = ("linear", "log")
-# Encodes one sweep row with the item separator json.dumps(..., indent=2)
-# puts between a row's items, which sit at depth 3 inside the "rows" list;
-# SweepTable.to_json replaces the braces with indented ones.
+# Encodes the list of sweep rows with the item separator json.dumps(...,
+# indent=2) puts between a row's items, which sit at depth 3 inside the
+# "rows" list; SweepTable.to_json indents the braces and the joins of rows.
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
@@ -91,27 +91,31 @@ class SweepTable(NamedTuple):
     rows: tuple[dict, ...] = ()
 
     def to_csv(self) -> str:
-        lines = [f"# {SCHEMA_VERSION} columns: {','.join(self.columns)}"]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(row[c]) for c in self.columns))
+        columns = self.columns
+        lines = [f"# {SCHEMA_VERSION} columns: {','.join(columns)}"]
+        for row in self.rows:  # a float cell inline, as _format_cell formats it
+            cells = [f"{v + 0.0:.17g}" if v.__class__ is float else _format_cell(v)
+                     for v in map(row.__getitem__, columns)]
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """json.dumps(doc, indent=2, allow_nan=False) of the table, byte for byte.
+        r"""json.dumps(doc, indent=2, allow_nan=False) of the table, byte for byte.
 
         indent=2 would take json's pure-Python encoder; the rows go through
-        the C encoder instead, one flat dict each, and get the indented
-        frame around them here.
+        the C encoder instead, in one call on the list of flat row dicts, and
+        get the indented frame here. A newline appears only in the encoder's
+        separators, never inside an encoded string, and no encoded cell ends
+        in a brace, so "},\n      {" occurs exactly where two rows join.
         """
         head = json.dumps({"schema": SCHEMA_VERSION, "columns": list(self.columns)}, indent=2)
         if not self.rows:
             return head[:-2] + ',\n  "rows": []\n}\n'
-        encode = _ROW_ENCODER.encode
-        rows = []
-        for row in self.rows:
-            text = encode({c: _json_cell(row[c]) for c in self.columns})
-            rows.append(f"    {{\n      {text[1:-1]}\n    }}" if len(text) > 2 else "    {}")
-        return head[:-2] + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+        columns = self.columns
+        body = _ROW_ENCODER.encode([{c: _json_cell(row[c]) for c in columns} for row in self.rows])
+        start, end = ("{\n      ", "\n    }") if columns else ("{", "}")  # an empty row stays "{}"
+        rows = body[2:-2].replace("},\n      {", f"{end},\n    {start}")
+        return f'{head[:-2]},\n  "rows": [\n    {start}{rows}{end}\n  ]\n}}\n'
 
 
 def _format_cell(value) -> str:

@@ -309,6 +309,24 @@ def test_condensed_state_where_t_over_tc_underflows():
     assert condensate_fraction(spec, T, rho) == 1.0
 
 
+def test_evaluators_and_condensed_states_where_a_leaves_the_doubles():
+    # A(3000, 1) = e^15346 is past the doubles, but lambda_T^-d A near T_c ~ 0.0377
+    # is of order 1: like T_c and the normal solves, the evaluators and the
+    # condensed state take it from logs, where they once raised DomainError
+    spec = GasSpec(d=3000.0, sigma=1.0)
+    tc = critical_temperature_density(spec, 1.0)
+    # rho(T_c) = 1, so P = T_c zeta(3001) / zeta(3000); the log-form exponents are
+    # about 1.5e4, whose ulp (1.8e-12) bounds the relative agreement
+    P = pressure_at(spec, tc, 0.0)
+    assert abs(P - tc * zeta(3001.0) / zeta(3000.0)) <= 1e-12
+    assert abs(density_at(spec, tc, 0.0) - 1.0) <= 4e-12
+    assert grand_potential(spec, tc, 0.0) == -P
+    pt = solve_gap_isochore(spec, 0.5 * tc, 1.0)
+    assert pt.regime == "condensed" and math.isfinite(pt.P)
+    pt = solve_gap_isochore(spec, 0.999 * tc, 1.0)
+    assert pt.regime == "condensed" and pt.P == pressure_at(spec, 0.999 * tc, 0.0) > 0.0
+
+
 def test_subnormal_natural_density_is_a_domain_error_naming_the_state():
     # rho L0^d is subnormal: the solve would work on a density with a few bits
     spec = GasSpec(d=3.0, sigma=2.0, mass=1e-26, units="si")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bose_eos.special
 from bose_eos import (
     DivergentValue,
     DomainError,
@@ -243,6 +244,36 @@ def test_series_pair_equals_two_series_calls_bit_for_bit(nu):
     for y in (0.5, 0.5 + 1e-12, 0.75, 1.0, 2.0, 5.0, 10.0, 20.0, 36.99):
         pair = (_bose_series(nu, y).value, _bose_series(nu - 1.0, y).value)
         assert _bose_pair(nu, y) == pair, (nu, y)
+
+
+def _plain_horner(nu, y):
+    """The series route's sum by Horner over n^-nu computed afresh, with no cached table."""
+    z = math.exp(-y)
+    n_terms = _series_terms_needed(nu, y, -math.expm1(-y))
+    value = 0.0
+    for n in range(n_terms, 0, -1):
+        value = value * z + n**-nu
+    return value * z, n_terms
+
+
+@pytest.mark.parametrize("short_table", [False, True])
+def test_series_route_equals_a_plain_horner_bit_for_bit(monkeypatch, short_table):
+    # the cached reversed tables hold the same coefficients in the same order;
+    # a table shorter than the count takes the path that builds it afresh
+    if short_table:
+        cached = bose_eos.special._series_powers
+
+        def short(nu, pair=False):  # the entries of n = 3, 2, 1
+            return cached(nu, pair)[-3:]
+
+        monkeypatch.setattr(bose_eos.special, "_series_powers", short)
+    for nu in (-0.9, 0.0, 0.5, 1.5, 2.47, 8.0):
+        for y in (0.5, 0.7, 1.0, 3.0, 36.9, 700.0):
+            value, n_terms = _plain_horner(nu, y)
+            res = _bose_series(nu, y)
+            assert (res.value, res.terms_used) == (value, n_terms), (nu, y)
+            if nu >= 1.0:
+                assert _bose_pair(nu, y) == (value, _plain_horner(nu - 1.0, y)[0]), (nu, y)
 
 
 @pytest.mark.parametrize("nu, y", [(1.5, 0.49), (2.0, 1e-3), (3.0, 1e-8), (0.5, 2.0)])

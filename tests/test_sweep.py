@@ -198,9 +198,8 @@ def test_json_round_trips():
     assert isinstance(row["regime"], str)
 
 
-def test_json_equals_the_indented_dump_byte_for_byte():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def _table_strategies(st):
+    """Columns (the empty subset included) and rows of every cell type a table may hold."""
     cells = st.one_of(
         st.none(),
         st.text(max_size=8),
@@ -209,12 +208,17 @@ def test_json_equals_the_indented_dump_byte_for_byte():
         st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-320, 5e-324]),
         st.integers(min_value=-(2**53), max_value=2**53),
     )
+    return {
+        "columns": st.lists(st.sampled_from(COLUMNS), unique=True, max_size=len(COLUMNS)),
+        "rows": st.lists(st.fixed_dictionaries({c: cells for c in COLUMNS}), max_size=5),
+    }
+
+
+def test_json_equals_the_indented_dump_byte_for_byte():
+    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
-    @hypothesis.given(
-        columns=st.lists(st.sampled_from(COLUMNS), unique=True, max_size=len(COLUMNS)),
-        rows=st.lists(st.fixed_dictionaries({c: cells for c in COLUMNS}), max_size=5),
-    )
+    @hypothesis.given(**_table_strategies(hypothesis.strategies))
     def check(columns, rows):
         table = bose_eos.sweep.SweepTable(columns=tuple(columns), rows=tuple(rows))
         doc = {
@@ -223,6 +227,27 @@ def test_json_equals_the_indented_dump_byte_for_byte():
             "rows": [{c: bose_eos.sweep._json_cell(row[c]) for c in columns} for row in rows],
         }
         assert table.to_json() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    check()
+
+
+def test_csv_equals_the_per_cell_formula_byte_for_byte():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def cell(value):  # empty for None, text as it is, 17 digits with -0.0 folded into 0
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        return format(float(value) + 0.0, ".17g")
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(**_table_strategies(hypothesis.strategies))
+    def check(columns, rows):
+        table = bose_eos.sweep.SweepTable(columns=tuple(columns), rows=tuple(rows))
+        lines = [f"# bose-eos v1 columns: {','.join(columns)}"]
+        lines += [",".join(cell(row[c]) for c in columns) for row in rows]
+        assert table.to_csv() == "\n".join(lines) + "\n"
 
     check()
 
