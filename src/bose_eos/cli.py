@@ -35,7 +35,13 @@ EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
 _LANDAU_COLUMNS = ("t", "C_f", "psi2", "f_ordered", "f_disordered", "mu_asym")
-_LEVELS = ("quick", "full")  # verify.LEVELS, which the parser reads without the suite
+# The choices of a flag, which hold for its config-file setting too.
+_CHOICES = {
+    "units": ("natural", "si"),
+    "spacing": ("linear", "log"),
+    "format": ("csv", "json"),
+    "level": ("quick", "full"),  # verify.LEVELS, which the parser reads without the suite
+}
 
 # Settings accepted in config files, with their parsers.
 _CONFIG_PARSERS = {
@@ -77,7 +83,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--d", type=float, help="spatial dimension (real, > 0)")
     common.add_argument("--sigma", type=float, help="dispersion exponent (0, 2]")
     common.add_argument("--mass", type=float, help="particle mass (default 1)")
-    common.add_argument("--units", choices=("natural", "si"), help="unit system")
+    common.add_argument("--units", choices=_CHOICES["units"], help="unit system")
 
     tc = sub.add_parser(
         "tc", parents=[common], help="critical temperature at fixed density or pressure"
@@ -93,9 +99,9 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--tmin", type=float, help="lowest temperature")
     sweep.add_argument("--tmax", type=float, help="highest temperature")
     sweep.add_argument("--points", type=int, help="grid size (default 50)")
-    sweep.add_argument("--spacing", choices=("linear", "log"), help="grid spacing")
+    sweep.add_argument("--spacing", choices=_CHOICES["spacing"], help="grid spacing")
     sweep.add_argument("--columns", help=f"comma-separated subset of {','.join(COLUMNS)}")
-    sweep.add_argument("--format", choices=("csv", "json"), help="output format")
+    sweep.add_argument("--format", choices=_CHOICES["format"], help="output format")
     sweep.add_argument("--output", help="write to file instead of stdout")
 
     landau = sub.add_parser(
@@ -103,13 +109,13 @@ def _build_parser() -> _Parser:
     )
     landau.add_argument("--density", type=float, help="number density (> 0)")
     landau.add_argument("--t", help="comma-separated reduced temperatures")
-    landau.add_argument("--format", choices=("csv", "json"), help="output format")
+    landau.add_argument("--format", choices=_CHOICES["format"], help="output format")
     landau.add_argument("--output", help="write to file instead of stdout")
 
     verify = sub.add_parser(
         "verify", parents=[common], help="run the cross-module verification suite"
     )
-    verify.add_argument("--level", choices=_LEVELS, help="quick (default) or full")
+    verify.add_argument("--level", choices=_CHOICES["level"], help="quick (default) or full")
 
     return parser
 
@@ -137,6 +143,11 @@ def _load_config(path: str) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: bad value {value!r} for {key!r}"
             ) from None
+        if key in _CHOICES and settings[key] not in _CHOICES[key]:
+            raise ConfigError(
+                f"{path}:{lineno}: invalid choice {value!r} for {key!r} "
+                f"(choose from {', '.join(_CHOICES[key])})"
+            )
     return settings
 
 
@@ -209,6 +220,8 @@ def _cmd_sweep(args, config: dict) -> int:
         unknown = [c for c in columns if c not in COLUMNS]
         if unknown:
             raise ConfigError(f"unknown columns {unknown}; available: {','.join(COLUMNS)}")
+        if len(set(columns)) < len(columns):
+            raise ConfigError(f"duplicate columns in {columns_raw!r}")
     request = SweepRequest(
         spec=spec,
         constraint=kind,

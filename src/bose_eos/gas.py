@@ -217,13 +217,24 @@ def _spec_constraint(spec: GasSpec, natural: float, k: int) -> float:
     """
     if spec.units == NATURAL:  # E0 = L0 = 1: the value itself, bit for bit
         return natural
+    a, e, b = _spec_factors(spec, k)
+    return natural / a * e / b
+
+
+def _spec_factors(spec: GasSpec, k: int) -> tuple[float, float, float]:
+    """(a, e, b) such that natural / a * e / b is _spec_constraint(spec, natural, k).
+
+    (1, E0^k, L0^d) where L0^d is a normal double, as / 1 is exact, else
+    (L0^(d/2), E0^k, L0^(d/2)); a DomainError where the half leaves them too.
+    Natural specs give (1, 1, 1), which leave every value as it is.
+    """
     energy, length = _scales(spec)
     length_d = length**spec.d
     if _all_normal(length_d):
-        return natural * energy**k / length_d
+        return 1.0, energy**k, length_d
     half = length ** (0.5 * spec.d)
     if _all_normal(half):
-        return natural / half * energy**k / half
+        return half, energy**k, half
     raise DomainError(
         f"L0^(d/2) = {half!r} leaves the normal doubles (d={spec.d:g}, sigma={spec.sigma:g}): "
         "the natural value has no spec-unit counterpart in the doubles"

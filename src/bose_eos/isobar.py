@@ -8,7 +8,8 @@ which has a solution with r >= 0 exactly for T >= T_c(P). Unlike the
 constant-density case, the transition temperature is finite for every d > 0.
 The state below T_c(P) is deliberately not modelled: the solvers raise
 :class:`CondensedRegion` instead of extrapolating, and only the coexistence
-boundary itself is exposed. States come from isochore's normal-state core.
+boundary itself is exposed. States come from isochore's state core, ``_states``,
+which the isochore's solves and every sweep share.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ from typing import NamedTuple
 
 from .errors import CondensedRegion, DomainError
 from .gas import GasSpec, _transition
-from .isochore import (
-    CRITICAL_WINDOW,
-    REGIME_NORMAL,
-    _normal_state,
-    critical_temperature_density,
-    pressure_at,
-)
-
-REGIME_BOUNDARY = "condensed_boundary"
+from .isochore import _states, critical_temperature_density, pressure_at
 
 
 class IsobarPoint(NamedTuple):
@@ -68,35 +61,16 @@ def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
     """
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
-    tc, target, a = _transition(spec, P, 1)  # validates P
-    point = _isobar_state(spec, T, P, tc, target, a)
-    if point is None:
+    tc, (state,) = _states(spec, P, 1, (T,))  # validates P
+    if state is None:
         raise CondensedRegion(
             f"T = {T:g} is below T_c(P) = {tc:g}; the condensed constant-pressure "
             "state is not modelled",
             T_c=tc,
         )
-    return point
-
-
-def _isobar_state(
-    spec: GasSpec, T: float, P: float, tc: float, target: float | None, a: float | None
-) -> IsobarPoint | None:
-    """solve_gap_isobar at T > 0 from gas._transition's (T_c, target, a) at P; None below."""
-    t_P = (T - tc) / tc
-    if t_P < -CRITICAL_WINDOW:
-        return None
-    boundary = abs(t_P) <= CRITICAL_WINDOW
-    r, rho = _normal_state(spec, T, P, 1, not boundary, target, a)
-    return IsobarPoint(
-        T=T,
-        P=P,
-        r=r,
-        rho=rho,
-        v=1.0 / rho if rho else math.inf,  # 0 where rho diverges, inf where it underflows
-        t_P=t_P,
-        regime=REGIME_BOUNDARY if boundary else REGIME_NORMAL,
-    )
+    T, t_P, r, _, rho, regime = state
+    v = 1.0 / rho if rho else math.inf  # 0 where rho diverges, inf where it underflows
+    return IsobarPoint(T=T, P=P, r=r, rho=rho, v=v, t_P=t_P, regime=regime)
 
 
 def coexistence_consistency(spec: GasSpec, rho: float) -> float:

@@ -8,8 +8,10 @@ is inverted for the gap r = -mu in the normal phase, or solved for the
 condensate fraction Psi^2 with r = 0 below the transition. The critical
 temperature follows from the r = 0, Psi = 0 boundary and exists only for
 d > sigma; otherwise condensation happens at absolute zero and the solvers
-raise :class:`ZeroTemperatureBEC`. T_c comes from ``gas._transition``, and
-the states of this solver and the isobar's from the core ``_normal_state``.
+raise :class:`ZeroTemperatureBEC`. T_c comes from ``gas._transition``. The
+states of this solver, of the isobar's and of every sweep row come from one
+core, ``_states``, which takes what a held density or pressure fixes once
+per request and solves each temperature from it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .gas import _LN_MAX, GasSpec, _natural_constraint, _prefactor, _scales
-from .gas import _spec_constraint, _transition
+from .gas import _FLOAT_MIN, _LN_MAX, GasSpec, _natural_constraint, _prefactor, _scales
+from .gas import _spec_constraint, _spec_factors, _transition
 from .rootfind import solve_bose_equation
-from .special import CLASSICAL_Y, bose_g
+from .special import _TWO_PI, CLASSICAL_Y, bose_g, zeta
 
 REGIME_NORMAL = "normal"
 REGIME_CONDENSED = "condensed"
 REGIME_CRITICAL = "critical"
+REGIME_BOUNDARY = "condensed_boundary"  # an isobar's r = 0 state, at T_c(P)
 
 # Reduced temperatures below solver resolution are reported as critical
 # instead of chasing a root smaller than float noise allows.
@@ -119,70 +122,93 @@ def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
     """
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")
-    return _isochore_state(spec, T, rho, *_transition(spec, rho, 0))  # validates rho, d > sigma
-
-
-def _isochore_state(
-    spec: GasSpec, T: float, rho: float, tc: float, target: float | None, a: float | None
-) -> ThermoPoint:
-    """solve_gap_isochore at T > 0 from gas._transition's (T_c, target, a) at rho."""
-    t = (T - tc) / tc
-    psi2 = 0.0
-    if abs(t) <= CRITICAL_WINDOW:
-        regime = REGIME_CRITICAL
-    elif t < 0.0:
-        regime = REGIME_CONDENSED
-        psi2 = _condensed_fraction(spec.d_over_sigma, T / tc)
-    else:
-        regime = REGIME_NORMAL
-    r, P = _normal_state(spec, T, rho, 0, regime == REGIME_NORMAL, target, a)
+    T, t, r, psi2, P, regime = _states(spec, rho, 0, (T,))[1][0]  # validates rho, d > sigma
     return ThermoPoint(T=T, t=t, r=r, psi2=psi2, rho=rho, P=P, regime=regime)
 
 
-def _normal_state(
-    spec: GasSpec, T: float, value: float, k: int, solve: bool,
-    target: float | None, a: float | None,
-) -> tuple[float, float]:
-    """(r, conjugate) in spec units at T and a held density (k = 0) or pressure (k = 1).
+def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, list]:
+    """(T_c, states) at a held density (k = 0) or pressure (k = 1), one state per T > 0.
 
-    r solves value = T^k lambda_T^-d A g_(d/sigma + k)(r / T) if solve, else
-    r = 0; the conjugate is the pressure or the density. target (value in
-    natural units) and a (A(d, sigma)) come from gas._transition, which
-    sweeps call once for all rows. Errors name d, sigma, T and value.
+    A state is the tuple (T, t, r, psi2, conjugate, regime) in spec units, the
+    conjugate being the pressure for a held density and the density for a held
+    pressure; None at an isobar T below T_c(P), where none is modelled. Below
+    T_c(rho), and at T_c, r = 0; elsewhere r solves
+    value = T^k lambda_T^-d A g_(d/sigma + k)(r / T). What depends only on the
+    request is taken once: gas._transition's (T_c, natural value, A), ln of
+    that value, the unit factors and the conjugate's g at r = 0. Errors name
+    d, sigma, T and value.
     """
-    nu = spec.d_over_sigma
-    r_nat, g_lower = 0.0, None
-    pref, log_pref = _prefactor(spec, T, k, a)
-    try:
-        if solve:
-            if target is None:  # raises value's DomainError, which gets the state below
-                target = _natural_constraint(spec, value, k)
-            r_nat, g_lower = solve_bose_equation(nu + k, log_pref, target, T)
-        if pref == math.inf and r_nat / T < CLASSICAL_Y:  # the conjugate below needs it
-            raise DomainError(f"lambda_T^-d A = {pref!r} is outside the double range")
-    except (ConvergenceError, DomainError) as exc:
-        raise type(exc)(
-            f"{('isochore', 'isobar')[k]} gap solve failed at d={spec.d!r}, "
-            f"sigma={spec.sigma!r}, T={T!r}, {('rho', 'P')[k]}={value!r}: {exc}"
-        ) from exc
-
-    energy, _ = _scales(spec)
-    if r_nat / T >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
-        conjugate = T * value * energy if k == 0 else value / (T * energy)
-    elif k and not solve and spec.d <= spec.sigma:  # the r = 0 density diverges
-        return 0.0, math.inf
-    else:  # the isobar's g_nu(r / T) may be its solve's last pass, order (nu + 1) - 1,
-        # bit for bit bose_g's g_nu where that rounds to nu; nu + 1 - k rounds differently
-        reuse = k and g_lower is not None and nu + 1.0 - 1.0 == nu
-        g = g_lower if reuse else bose_g(nu + (1 - k), r_nat / T).value
-        conjugate = _spec_constraint(spec, T ** (1 - k) * pref * g, 1 - k)
-    if conjugate == math.inf:
-        raise DomainError(
-            f"{('isochore', 'isobar')[k]} state at d={spec.d!r}, sigma={spec.sigma!r}, "
-            f"T={T!r}, {('rho', 'P')[k]}={value!r} has a {('pressure', 'density')[k]} "
-            "outside the double range"
-        )
-    return r_nat * energy, conjugate
+    tc, target, a = _transition(spec, value, k)
+    nu, mass, energy = spec.d_over_sigma, spec.mass, _scales(spec)[0]
+    at_tc = (REGIME_CRITICAL, REGIME_BOUNDARY)[k]
+    log_target = None if target is None else math.log(target)
+    try:  # natural / fa * fe / fb is _spec_constraint(spec, natural, 1 - k)
+        fa, fe, fb = _spec_factors(spec, 1 - k)
+    except DomainError:  # L0^(d/2) leaves the doubles: raised where a state converts
+        fa = None
+    order = nu + (1 - k)  # of the conjugate's g, which at r = 0 is zeta where that converges
+    g_zero = zeta(order) if order > 1.0 else None
+    # the isobar's g_nu(r / T) may be its solve's last pass, order (nu + 1) - 1,
+    # bit for bit bose_g's g_nu where that rounds to nu; nu + 1 - k rounds differently
+    reuse = k and nu + 1.0 - 1.0 == nu
+    diverges = k and spec.d <= spec.sigma  # the r = 0 density
+    states = []
+    for T in temperatures:
+        t = (T - tc) / tc
+        psi2, solve = 0.0, abs(t) > CRITICAL_WINDOW
+        if not solve:
+            regime = at_tc
+        elif t > 0.0:
+            regime = REGIME_NORMAL
+        elif k:
+            states.append(None)
+            continue
+        else:
+            regime, solve = REGIME_CONDENSED, False
+            psi2 = _condensed_fraction(nu, T / tc)
+        pref = math.nan  # lambda_T^-d A; T^k times it is the prefactor of the solve
+        if a is not None:
+            try:
+                pref = (mass * T / _TWO_PI) ** nu * a
+            except OverflowError:
+                pref = math.inf
+        pref_k = T * pref if k else pref
+        if _FLOAT_MIN <= pref_k < math.inf:
+            log_pref = math.log(pref_k)
+        else:  # the product, or A, leaves the normal doubles: the sum of logs
+            pref, log_pref = _prefactor(spec, T, k, a)
+        r_nat, g = 0.0, None
+        try:
+            if solve:
+                if log_target is None:  # raises value's DomainError, which gets the state below
+                    _natural_constraint(spec, value, k)
+                r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T)
+            if pref == math.inf and r_nat / T < CLASSICAL_Y:  # the conjugate below needs it
+                raise DomainError(f"lambda_T^-d A = {pref!r} is outside the double range")
+        except (ConvergenceError, DomainError) as exc:
+            raise type(exc)(
+                f"{('isochore', 'isobar')[k]} gap solve failed at d={spec.d!r}, "
+                f"sigma={spec.sigma!r}, T={T!r}, {('rho', 'P')[k]}={value!r}: {exc}"
+            ) from exc
+        y = r_nat / T
+        if y >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
+            conjugate = value / (T * energy) if k else T * value * energy
+        elif diverges and not solve:
+            states.append((T, t, 0.0, psi2, math.inf, regime))
+            continue
+        else:
+            if not (reuse and g is not None):
+                g = bose_g(order, y).value if y or g_zero is None else g_zero
+            natural = (pref if k else T * pref) * g
+            conjugate = natural / fa * fe / fb if fa else _spec_constraint(spec, natural, 1 - k)
+        if conjugate == math.inf:
+            raise DomainError(
+                f"{('isochore', 'isobar')[k]} state at d={spec.d!r}, sigma={spec.sigma!r}, "
+                f"T={T!r}, {('rho', 'P')[k]}={value!r} has a {('pressure', 'density')[k]} "
+                "outside the double range"
+            )
+        states.append((T, t, r_nat * energy, psi2, conjugate, regime))
+    return tc, states
 
 
 def grand_potential(
@@ -236,6 +262,8 @@ def susceptibility(r: float, n_particles: float = 1.0) -> float:
     """Order-parameter susceptibility chi_T = 1 / (N r), divergent at r = 0."""
     if not r >= 0.0:
         raise DomainError(f"gap must be >= 0, got r={r!r}")
+    if not n_particles > 0.0:
+        raise DomainError(f"particle count must be positive, got {n_particles!r}")
     if r == 0.0:
         return math.inf
     return 1.0 / (n_particles * r)

@@ -40,35 +40,29 @@ _LOG_TOL = 1e-13
 _XTOL_REL = 4.0 * sys.float_info.epsilon
 
 _MAX_ITER = 400
-_FLOAT_MIN = sys.float_info.min
 
 
-def solve_bose_equation(
-    order: float, log_prefactor: float, target: float, T: float
-) -> tuple[float, float | None]:
-    """Solve ``ln g_order(r / T) = ln(target) - log_prefactor`` for the gap r > 0.
+def solve_bose_equation(order: float, log_ratio: float, T: float) -> tuple[float, float | None]:
+    """Solve ``ln g_order(r / T) + log_ratio = 0`` for the gap r > 0.
 
     Returns (r, g_(order-1)(r / T)) where r is an iterate whose Horner pass
     on the series route also summed g_(order-1), else (r, None).
 
-    log_prefactor is ln(prefactor), finite also where the prefactor itself
-    leaves the doubles. Assumes the caller has already established that a
-    positive root exists, i.e. prefactor * zeta(order) > target (the normal
-    side of the transition). target must be a normal double and
-    log_prefactor finite (``DomainError`` otherwise). The solve stops at
-    |ln(prefactor g_order / target)| <= _LOG_TOL, which holds the relative
-    residual of the linear equation to about _LOG_TOL too, or once the
-    bracket collapses; after _MAX_ITER iterates it raises
-    ``ConvergenceError``. From L = ln(prefactor / target) = CLASSICAL_Y on,
-    the root is L itself and no Bose function is evaluated, also where
-    g_order(y*) underflows.
+    log_ratio is L = ln(prefactor / target), taken by the caller as a
+    difference of logs, so it is finite also where the prefactor or the
+    ratio leaves the doubles; a non-finite L is a ``DomainError``. Assumes
+    the caller has already established that a positive root exists, i.e.
+    prefactor * zeta(order) > target (the normal side of the transition).
+    The solve stops at |ln(prefactor g_order / target)| <= _LOG_TOL, which
+    holds the relative residual of the linear equation to about _LOG_TOL
+    too, or once the bracket collapses; after _MAX_ITER iterates it raises
+    ``ConvergenceError``. From L = CLASSICAL_Y on, the root is L itself and
+    no Bose function is evaluated, also where g_order(y*) underflows.
     """
-    if not (math.isfinite(log_prefactor) and _FLOAT_MIN <= target < math.inf):
+    if not math.isfinite(log_ratio):
         raise DomainError(
-            f"gap equation sides ln(prefactor) = {log_prefactor!r}, target = {target!r}: "
-            "need a finite log and a target in the normal doubles"
+            f"gap equation log ratio L = ln(prefactor / target) = {log_ratio!r} is not finite"
         )
-    log_ratio = log_prefactor - math.log(target)  # L
     if log_ratio >= CLASSICAL_Y:  # the bracket below is [L, L] in doubles
         return log_ratio * T, None
     y_lo = max(log_ratio, 0.0)

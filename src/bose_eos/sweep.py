@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import DomainError
-from .gas import GasSpec, _transition
-from .isobar import REGIME_BOUNDARY, _isobar_state
-from .isochore import _isochore_state
+from .gas import GasSpec
+from .isochore import REGIME_BOUNDARY, _states
 
 SCHEMA_VERSION = "bose-eos v1"
 COLUMNS = ("T", "t", "r", "mu", "psi2", "rho", "P", "regime")
@@ -69,6 +69,10 @@ class SweepRequest(_SweepRequest):
             raise DomainError(f"need 0 < T_min < T_max, got T_min={T_min!r}, T_max={T_max!r}")
         if T_max == math.inf:
             raise DomainError(f"T_max must be finite, got T_max={T_max!r}")
+        try:  # numpy ints pass; 2.5 and nan do not
+            points = operator.index(points)
+        except TypeError:
+            raise DomainError(f"grid points must be an integer, got {points!r}") from None
         if points < 2:
             raise DomainError(f"need at least 2 grid points, got {points!r}")
         if spacing not in _SPACINGS:
@@ -76,6 +80,8 @@ class SweepRequest(_SweepRequest):
         unknown = [c for c in columns if c not in COLUMNS]
         if unknown or not columns:
             raise DomainError(f"unknown columns {unknown}; available: {COLUMNS}")
+        if len(set(columns)) < len(columns):
+            raise DomainError(f"duplicate columns in {tuple(columns)}")
         return super().__new__(cls, spec, constraint, value, T_min, T_max, points, spacing, columns)
 
     @classmethod
@@ -162,37 +168,23 @@ def temperature_grid(request: SweepRequest) -> list[float]:
 def run_sweep(request: SweepRequest) -> SweepTable:
     """Solve the sweep grid and return rows ordered by temperature.
 
-    T_c and the other constants the held density or pressure fixes are
-    computed once per request; each row then takes the same solver core as
-    solve_gap_isochore or solve_gap_isobar, so it equals that point solve.
+    The rows are the states of isochore._states, the core behind
+    solve_gap_isochore and solve_gap_isobar, which takes T_c and the other
+    constants the held density or pressure fixes once per request; so each
+    row equals that point solve.
     """
-    spec, value = request.spec, request.value
+    value = request.value
     isobar = request.constraint == CONSTRAINT_PRESSURE
-    state_at = _isobar_state if isobar else _isochore_state
-    tc, target, a = _transition(spec, value, int(isobar))
+    grid = temperature_grid(request)
+    tc, states = _states(request.spec, value, int(isobar), grid)
     rows = []
-    for T in temperature_grid(request):
-        pt = state_at(spec, T, value, tc, target, a)
-        if pt is None:  # no isobar state below T_c(P): the grid row is a sentinel
-            rows.append({
-                "T": T,
-                "t": T / tc - 1.0,
-                "r": None,
-                "mu": None,
-                "psi2": None,
-                "rho": None,
-                "P": value,
-                "regime": REGIME_BOUNDARY,
-            })
+    for T, state in zip(grid, states):
+        if state is None:  # no isobar state below T_c(P): the grid row is a sentinel
+            rows.append({"T": T, "t": T / tc - 1.0, "r": None, "mu": None, "psi2": None,
+                         "rho": None, "P": value, "regime": REGIME_BOUNDARY})
             continue
-        rows.append({
-            "T": pt.T,
-            "t": pt.t_P if isobar else pt.t,
-            "r": pt.r,
-            "mu": pt.mu,
-            "psi2": 0.0 if isobar else pt.psi2,
-            "rho": pt.rho,
-            "P": pt.P,
-            "regime": pt.regime,
-        })
+        T, t, r, psi2, conjugate, regime = state
+        rho, P = (conjugate, value) if isobar else (value, conjugate)
+        rows.append({"T": T, "t": t, "r": r, "mu": -r, "psi2": psi2, "rho": rho, "P": P,
+                     "regime": regime})
     return SweepTable(columns=tuple(request.columns), rows=tuple(rows))

@@ -265,6 +265,46 @@ def test_malformed_config_line_reports_location(tmp_path):
     assert "2" in proc.stderr  # line number in the message
 
 
+SWEEP_ARGS = ["--d", "3", "--sigma", "2", "--density", "1", "--tmin", "4", "--tmax", "5",
+              "--points", "2"]
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["sweep", *SWEEP_ARGS], "format", "xml"),
+        (["landau", "--d", "3", "--sigma", "2", "--density", "1", "--t", "0.1"], "format", "xml"),
+        (["tc", "--d", "3", "--sigma", "2", "--density", "1"], "units", "kelvin"),
+        (["sweep", *SWEEP_ARGS], "spacing", "quadratic"),
+        (["verify"], "level", "deep"),
+    ],
+)
+def test_config_settings_take_the_flags_choices(tmp_path, capsys, command, key, value):
+    # from a config file, format = xml once wrote JSON and exited 0, and a bad
+    # units, spacing or level exited 2; the same value as a flag exits 4
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# settings\n{key} = {value}\n")
+    assert bose_eos.cli.main([*command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: invalid choice {value!r} for {key!r} (choose from ")
+    assert bose_eos.cli.main([*command, f"--{key}", value]) == 4
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_config_settings_inside_the_choices_are_taken(tmp_path, capsys):
+    cfg = tmp_path / "gas.cfg"
+    cfg.write_text("units = natural\nspacing = log\nformat = json\n")
+    assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [row["T"] for row in doc["rows"]] == [4.0, 5.0]
+
+
+def test_duplicate_columns_are_a_config_error(capsys):
+    # once accepted: the JSON named "T" twice while each row held one "T"
+    assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, "--columns", "T,r,T", "--format", "json"]) == 4
+    assert capsys.readouterr().err == "error: duplicate columns in 'T,r,T'\n"
+
+
 def test_missing_constraint_is_a_config_error():
     proc = run_cli("tc", "--d", "3", "--sigma", "2")
     assert proc.returncode == 4

@@ -234,6 +234,16 @@ def test_validation_errors():
         susceptibility(math.nan)
 
 
+@pytest.mark.parametrize("n_particles", [0.0, -2.0, math.nan])
+def test_susceptibility_needs_a_positive_particle_count(n_particles):
+    # 0 once raised a bare ZeroDivisionError and -2 returned -0.5
+    for r in (0.0, 0.7):
+        with pytest.raises(DomainError, match="particle count must be positive"):
+            susceptibility(r, n_particles)
+        with pytest.raises(DomainError, match="particle count must be positive"):
+            grand_potential(SPEC32, 1.0, r, n_particles=n_particles)
+
+
 @pytest.mark.parametrize(
     "evaluator, units",
     [(pressure_at, "natural"), (grand_potential, "natural"), (density_at, "si")],

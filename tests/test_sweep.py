@@ -56,11 +56,27 @@ def density_request(**overrides) -> SweepRequest:
         {"columns": ("T", "speed")},
         {"columns": ()},
         {"T_max": math.inf},
+        {"points": 2.5},
+        {"points": math.nan},
+        {"points": "7"},
+        {"columns": ("T", "r", "T")},
     ],
 )
 def test_request_validation(overrides):
     with pytest.raises(DomainError):
         density_request(**overrides)
+
+
+def test_request_points_take_any_integer_type():
+    # operator.index: a numpy integer is a grid size, a float is not
+    numpy = pytest.importorskip("numpy")
+    request = density_request(points=numpy.int64(5))
+    assert request.points == 5 and type(request.points) is int
+    assert len(run_sweep(request).rows) == 5
+    with pytest.raises(DomainError, match="grid points must be an integer, got 5.0"):
+        density_request(points=5.0)
+    with pytest.raises(DomainError, match=r"duplicate columns in \('T', 'T'\)"):
+        density_request(columns=("T", "T"))
 
 
 def test_temperature_grids():
@@ -286,61 +302,161 @@ def test_run_sweep_rows_follow_grid_order():
 ROW_SPECS = [
     (SPEC32, 1.0, 1.0),
     (GasSpec(d=3.0, sigma=2.0, mass=1.44e-25, units="si"), 1e19, 1e-5),
+    (GasSpec(d=3.0, sigma=1.0), 0.3, 2.0),  # integer orders 3 and 4
+    (GasSpec(d=4.0, sigma=2.0), 5.0, 0.2),  # integer orders 2 and 3
+    (GasSpec(d=2.2, sigma=1.5), 1.0, 1.0),  # d/sigma = 1.4667
+    (GasSpec(d=3000.0, sigma=1.0), 1.0, 1.0),  # A(3000, 1) = e^15346 leaves the doubles
+    (GasSpec(d=1.5, sigma=2.0), 1.0, 1.0),  # d <= sigma: no T_c(rho), inf boundary density
 ]
+
+
+def _check_rows_equal_point_solves(request, solve, state_row):
+    """Every row of run_sweep(request), by repr, is state_row(T, point solve at T).
+
+    state_row(T, None) is the row of a T whose point solve raises
+    CondensedRegion. Where the sweep raises, the first point solve that fails
+    otherwise raises the same type and text. Returns the rows, () on failure.
+    """
+    spec, value = request.spec, request.value
+    grid = temperature_grid(request)
+    try:
+        rows = run_sweep(request).rows
+    except bose_eos.BoseEosError as exc:
+        for T in grid:
+            try:
+                solve(spec, T, value)
+            except CondensedRegion:
+                continue
+            except bose_eos.BoseEosError as point_exc:
+                assert (type(point_exc), str(point_exc)) == (type(exc), str(exc))
+                return ()
+        raise AssertionError(f"the sweep raised {exc!r}; every point solve answered") from exc
+    assert len(rows) == len(grid)
+    for T, row in zip(grid, rows):
+        try:
+            expected = state_row(T, solve(spec, T, value))
+        except CondensedRegion:
+            expected = state_row(T, None)
+        assert [repr(row[c]) for c in COLUMNS] == [repr(cell) for cell in expected], T
+    return rows
+
+
+def _rows_equal_solver_points(spec, constraint, value, tc_name, solve, state_row):
+    """Drawn grids through T_c: both spacings, 2 to 40 points, ends within 3x of T_c.
+
+    Returns the (regime, r is None) pairs of every row compared.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    try:
+        tc = getattr(bose_eos, tc_name)(spec, value)
+    except ZeroTemperatureBEC:
+        tc = 1.0  # every request fails; the point solves must fail alike
+    seen = set()
+
+    @hypothesis.settings(derandomize=True, max_examples=30, deadline=None)
+    @hypothesis.given(
+        lo=st.floats(min_value=1.0 / 3.0, max_value=1.0),
+        hi=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
+        points=st.integers(min_value=2, max_value=40),
+        spacing=st.sampled_from(["linear", "log"]),
+    )
+    @hypothesis.example(lo=0.5, hi=1.5, points=21, spacing="linear")  # a row at T_c
+    def check(lo, hi, points, spacing):
+        request = SweepRequest(
+            spec=spec, constraint=constraint, value=value, T_min=lo * tc, T_max=hi * tc,
+            points=points, spacing=spacing,
+        )
+        rows = _check_rows_equal_point_solves(request, solve, state_row)
+        seen.update((row["regime"], row["r"] is None) for row in rows)
+
+    check()
+    return seen
 
 
 @pytest.mark.parametrize("spec, rho, P", ROW_SPECS)
 def test_isochore_rows_equal_solver_points(spec, rho, P):
-    # 21 points from 0.5 T_c to 1.5 T_c: condensed rows, one critical row
-    # at T_c (within CRITICAL_WINDOW) and normal rows
-    tc = critical_temperature_density(spec, rho)
-    request = SweepRequest(
-        spec=spec,
-        constraint="density",
-        value=rho,
-        T_min=0.5 * tc,
-        T_max=1.5 * tc,
-        points=21,
-    )
-    rows = run_sweep(request).rows
-    assert {row["regime"] for row in rows} == {"condensed", "critical", "normal"}
-    for T, row in zip(temperature_grid(request), rows):
-        pt = solve_gap_isochore(spec, T, rho)
-        assert row == {
-            "T": pt.T, "t": pt.t, "r": pt.r, "mu": pt.mu, "psi2": pt.psi2,
-            "rho": pt.rho, "P": pt.P, "regime": pt.regime,
-        }
+    def state_row(T, pt):
         assert pt.P == pytest.approx(pressure_at(spec, T, pt.r), rel=1e-15)
+        return pt.T, pt.t, pt.r, pt.mu, pt.psi2, pt.rho, pt.P, pt.regime
+
+    seen = _rows_equal_solver_points(
+        spec, "density", rho, "critical_temperature_density", solve_gap_isochore, state_row
+    )
+    regimes = {"condensed", "critical", "normal"}
+    assert seen == (set() if spec.d <= spec.sigma else {(regime, False) for regime in regimes})
 
 
 @pytest.mark.parametrize("spec, rho, P", ROW_SPECS)
 def test_isobar_rows_equal_solver_points(spec, rho, P):
-    # condensed sentinels below T_c(P), the boundary row at T_c(P), normal above
     tc = critical_temperature_pressure(spec, P)
-    request = SweepRequest(
-        spec=spec,
-        constraint="pressure",
-        value=P,
-        T_min=0.5 * tc,
-        T_max=1.5 * tc,
-        points=21,
+
+    def state_row(T, pt):
+        if pt is None:  # no state below T_c(P): the row is a sentinel
+            return T, T / tc - 1.0, None, None, None, None, P, "condensed_boundary"
+        return pt.T, pt.t_P, pt.r, pt.mu, 0.0, pt.rho, pt.P, pt.regime
+
+    seen = _rows_equal_solver_points(
+        spec, "pressure", P, "critical_temperature_pressure", solve_gap_isobar, state_row
     )
-    rows = run_sweep(request).rows
-    regimes = [row["regime"] for row in rows]
-    assert regimes.count("condensed_boundary") == 11 and "normal" in regimes
-    for T, row in zip(temperature_grid(request), rows):
-        try:
-            pt = solve_gap_isobar(spec, T, P)
-        except CondensedRegion:
-            assert row == {
-                "T": T, "t": T / tc - 1.0, "r": None, "mu": None, "psi2": None,
-                "rho": None, "P": P, "regime": "condensed_boundary",
-            }
-            continue
-        assert row == {
-            "T": pt.T, "t": pt.t_P, "r": pt.r, "mu": pt.mu, "psi2": 0.0,
-            "rho": pt.rho, "P": pt.P, "regime": pt.regime,
-        }
+    # sentinels below T_c(P), the boundary state at T_c(P), normal states above
+    assert seen == {("condensed_boundary", True), ("condensed_boundary", False), ("normal", False)}
+
+
+@pytest.mark.parametrize(
+    "constraint, value, solve, tc_of",
+    [
+        ("density", 1e19, solve_gap_isochore, critical_temperature_density),
+        ("pressure", 1e-5, solve_gap_isobar, critical_temperature_pressure),
+    ],
+)
+def test_a_failing_sweep_raises_its_first_failing_point_solve(constraint, value, solve, tc_of):
+    # SI at d = 28, where L0^(d/2) leaves the doubles: a state at r = 0 fails with the
+    # unit conversion's text, one above T_c with its solve's; the isobar's first rows
+    # are sentinels, so that sweep fails mid-grid
+    spec = GasSpec(d=28.0, sigma=2.0, mass=1.44e-25, units="si")
+    tc = tc_of(spec, value)
+    for lo, hi, points in ((0.5, 1.5, 5), (1.2, 2.0, 3)):
+        request = SweepRequest(
+            spec=spec, constraint=constraint, value=value, T_min=lo * tc, T_max=hi * tc,
+            points=points,
+        )
+        assert _check_rows_equal_point_solves(request, solve, None) == ()
+
+
+def test_sweep_takes_the_request_constants_once(monkeypatch):
+    # the unit scales, zeta and A are the same for every row of a request
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def spy(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (bose_eos.gas, bose_eos.isochore, bose_eos.isobar, bose_eos.sweep,
+                   bose_eos.special):
+        for name in ("_scales", "zeta", "prefactor_A"):
+            if hasattr(module, name):
+                counted(module, name)
+    for spec, rho, P in ROW_SPECS[:2]:
+        for constraint, value, tc_of in (("density", rho, critical_temperature_density),
+                                         ("pressure", P, critical_temperature_pressure)):
+            tc = tc_of(spec, value)
+            counts = []
+            for points in (256, 8, 256):  # the first fills the Bose routes' per-order caches
+                calls.clear()
+                request = SweepRequest(
+                    spec=spec, constraint=constraint, value=value, T_min=0.25 * tc,
+                    T_max=4.0 * tc, points=points,
+                )
+                rows = run_sweep(request).rows
+                assert {"condensed", "condensed_boundary"} & {row["regime"] for row in rows}
+                counts.append(sorted(calls))
+            assert counts[1] == counts[2], (spec.units, constraint, counts)
 
 
 @pytest.mark.parametrize(
@@ -349,13 +465,13 @@ def test_isobar_rows_equal_solver_points(spec, rho, P):
 )
 def test_run_sweep_computes_tc_once_per_request(monkeypatch, constraint, tc_name):
     calls = []
-    transition = bose_eos.sweep._transition
+    transition = bose_eos.isochore._transition
 
     def counted(*args):
         calls.append(args)
         return transition(*args)
 
-    monkeypatch.setattr(bose_eos.sweep, "_transition", counted)
+    monkeypatch.setattr(bose_eos.isochore, "_transition", counted)
     request = SweepRequest(
         spec=SPEC32, constraint=constraint, value=1.0, T_min=0.2, T_max=8.0, points=40
     )
