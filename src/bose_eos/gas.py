@@ -9,9 +9,10 @@ All internal computation is done in natural units (hbar = k_B = 1). SI
 differs from them only by an energy scale and a length scale (see
 ``_scales``): mass stays in kilograms and temperature in kelvin, so a public
 function reads d, sigma, mass and T as given and converts only energies,
-densities and pressures, once on the way in and once on the way out. For
-sigma != 2 that choice of base units fixes the SI value of the stiffness
-hbar^2 / 2m, which is k_B^(1 - sigma/2) hbar^sigma / 2m.
+densities and pressures, once on the way in and once on the way out, the
+last two by one rule for both directions (``_convert``). For sigma != 2 that
+choice of base units fixes the SI value of the stiffness hbar^2 / 2m, which is
+k_B^(1 - sigma/2) hbar^sigma / 2m.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, ZeroTemperatureBEC
-from .special import gamma, zeta
+from .special import _TWO_PI, gamma, zeta
 
 HBAR_SI = 1.054571817e-34  # J s
 KB_SI = 1.380649e-23  # J / K
@@ -158,19 +159,18 @@ def _prefactor(spec: GasSpec, T: float, k: int, a: float | None = None) -> tuple
     lambda_T^-d A is the exponential of that sum at k = 0; a product or sum
     past the doubles gives inf, which the caller's value then reports.
     """
+    d, sigma, mass, _ = spec
     try:
-        pref = (spec.mass * T / (2.0 * math.pi)) ** spec.d_over_sigma * (
-            prefactor_A(spec.d, spec.sigma) if a is None else a
-        )
+        pref = (mass * T / _TWO_PI) ** (d / sigma) * (prefactor_A(d, sigma) if a is None else a)
+        pref_k = T * pref if k else pref
+        if _FLOAT_MIN <= pref_k < math.inf:
+            return pref, math.log(pref_k)
     except OverflowError:
         pref = math.inf
     except DomainError:  # A past the doubles: lambda_T^-d A from the sum of logs below
         pref = None
-    pref_k = math.nan if pref is None else T**k * pref
-    if _all_normal(pref_k):
-        return pref, math.log(pref_k)
-    log_a = _log_prefactor_A(spec.d, spec.sigma) if a is None else math.log(a)
-    log_thermal = spec.d_over_sigma * (math.log(spec.mass) + math.log(T) - _LN_2PI)
+    log_a = _log_prefactor_A(d, sigma) if a is None else math.log(a)
+    log_thermal = d / sigma * (math.log(mass) + math.log(T) - _LN_2PI)
     if pref is None:
         pref = math.exp(log_thermal + log_a) if log_thermal + log_a <= _LN_MAX else math.inf
     return pref, k * math.log(T) + log_thermal + log_a
@@ -185,60 +185,70 @@ def _all_normal(*values: float) -> bool:
     return all(_FLOAT_MIN <= v < math.inf for v in values)
 
 
-def _natural_constraint(spec: GasSpec, value: float, k: int) -> float:
-    """A density (k = 0) or pressure (k = 1) in natural units: value L0^d / E0^k.
+# The orders of _convert, as steps of the inward map value L0^d / E0^k: 0 divides
+# by E0^k, 1 multiplies by L0^d, 2 by L0^(d/2); the outward map inverts each step
+# and takes them in reverse. The first is the direct order, the second halves a
+# subnormal L0^d (SI past d = 13.64); the rest serve where a first step would leave
+# the normal doubles, as a natural pressure below 1.6e-285 times E0 does.
+_ORDERS = ((1, 0), (2, 0, 2), (0, 1), (0, 2, 2), (2, 2, 0))
 
-    Where L0^d or value L0^d is subnormal (L0^d ~ 2.8e-23^d in SI from
-    d = 13.7 on) L0^d is applied as two halves with the division by E0^k
-    between them, so no step keeps only a few bits. A value that still
-    leaves the normal doubles is a DomainError; the solvers add d, sigma, T
-    and the constraint to its message.
+
+def _unit_map(spec: GasSpec, k: int) -> tuple[float, float, float]:
+    """(E0^k, L0^d, L0^(d/2)), what _convert takes once per request; k = 1 for a pressure.
+
+    A length factor outside the normal doubles is NaN, so no order uses it:
+    in SI, L0^d is subnormal past d = 13.64 and L0^(d/2) past d = 27.29.
     """
     energy, length = _scales(spec)
-    step = length**spec.d
-    natural = value * step / energy**k
-    if not _all_normal(step, value * step):
-        step = length ** (0.5 * spec.d)
-        natural = value * step / energy**k * step
-    if _all_normal(step, value * step, natural):
-        return natural
-    raise DomainError(
-        f"{('rho', 'P')[k]} leaves the normal doubles on its way to natural units "
-        f"(L0^d or its square root = {step!r}, natural value {natural!r})"
-    )
+    powers = length**spec.d, length ** (0.5 * spec.d)
+    full, half = (p if p >= _FLOAT_MIN else math.nan for p in powers)
+    return energy**k, full, half
+
+
+def _convert(units: tuple[float, float, float], x: float, inward: bool) -> float:
+    """x L0^d / E0^k in natural units (inward), or x E0^k / L0^d in spec units.
+
+    ``units`` is _unit_map(spec, k). The steps follow the first of _ORDERS
+    whose input and intermediates are all normal doubles, so each step rounds
+    once, and the direct order gives the bits of the plain product; where no
+    order keeps them normal (x is 0, inf or subnormal), the first order the
+    factors allow. A map with neither length factor is a DomainError, and so
+    is an inward result outside the normal doubles.
+    """
+    energy, full, half = units
+    value = x * full if inward else x * energy
+    if _FLOAT_MIN <= value < math.inf and full == full:  # _ORDERS[0], inline for a sweep row
+        value = value / energy if inward else value / full
+    elif half != half:  # and so L0^d, the smaller power of L0 < 1
+        raise DomainError(
+            "L0^d and L0^(d/2) leave the normal doubles: no density or pressure converts"
+        )
+    else:
+        allowed = []  # the results of the orders whose length factors the map has
+        for order in _ORDERS:
+            value, normal = x, True
+            for step in order if inward else order[::-1]:
+                normal = normal and _FLOAT_MIN <= value < math.inf
+                value = value / units[step] if (step == 0) == inward else value * units[step]
+            if value == value:  # NaN where the order takes the missing L0^d
+                if normal:
+                    break
+                allowed.append(value)
+        else:
+            value = allowed[0] if allowed else x
+    if inward and not _FLOAT_MIN <= value < math.inf:
+        raise DomainError(f"{x!r} is {value!r} in natural units, outside the normal doubles")
+    return value
+
+
+def _natural_constraint(spec: GasSpec, value: float, k: int) -> float:
+    """A density (k = 0) or pressure (k = 1) in natural units: value L0^d / E0^k."""
+    return _convert(_unit_map(spec, k), value, True)
 
 
 def _spec_constraint(spec: GasSpec, natural: float, k: int) -> float:
-    """The inverse of _natural_constraint: natural E0^k / L0^d in spec units.
-
-    Takes a natural density (k = 0) or pressure (k = 1), or any quantity
-    per natural volume with E0^k its energy factor. Where L0^d is subnormal
-    it is divided out in two halves, as _natural_constraint applies it.
-    """
-    if spec.units == NATURAL:  # E0 = L0 = 1: the value itself, bit for bit
-        return natural
-    a, e, b = _spec_factors(spec, k)
-    return natural / a * e / b
-
-
-def _spec_factors(spec: GasSpec, k: int) -> tuple[float, float, float]:
-    """(a, e, b) such that natural / a * e / b is _spec_constraint(spec, natural, k).
-
-    (1, E0^k, L0^d) where L0^d is a normal double, as / 1 is exact, else
-    (L0^(d/2), E0^k, L0^(d/2)); a DomainError where the half leaves them too.
-    Natural specs give (1, 1, 1), which leave every value as it is.
-    """
-    energy, length = _scales(spec)
-    length_d = length**spec.d
-    if _all_normal(length_d):
-        return 1.0, energy**k, length_d
-    half = length ** (0.5 * spec.d)
-    if _all_normal(half):
-        return half, energy**k, half
-    raise DomainError(
-        f"L0^(d/2) = {half!r} leaves the normal doubles (d={spec.d:g}, sigma={spec.sigma:g}): "
-        "the natural value has no spec-unit counterpart in the doubles"
-    )
+    """A natural density (k = 0) or pressure (k = 1) in spec units: natural E0^k / L0^d."""
+    return _convert(_unit_map(spec, k), natural, False)
 
 
 def _transition(spec: GasSpec, value: float, k: int) -> tuple:

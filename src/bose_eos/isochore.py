@@ -20,10 +20,10 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .gas import _FLOAT_MIN, _LN_MAX, GasSpec, _natural_constraint, _prefactor, _scales
-from .gas import _spec_constraint, _spec_factors, _transition
+from .gas import _LN_MAX, GasSpec, _convert, _natural_constraint, _prefactor, _scales
+from .gas import _spec_constraint, _transition, _unit_map
 from .rootfind import solve_bose_equation
-from .special import _TWO_PI, CLASSICAL_Y, bose_g, zeta
+from .special import CLASSICAL_Y, bose_g, zeta
 
 REGIME_NORMAL = "normal"
 REGIME_CONDENSED = "condensed"
@@ -104,13 +104,13 @@ def _constraint_at(spec: GasSpec, T: float, r_nat: float, k: int) -> float:
         natural = math.exp(log_natural) if log_natural <= _LN_MAX else math.inf
     else:
         natural = T**k * pref * bose_g(spec.d_over_sigma + k, y).value
-    value = _spec_constraint(spec, natural, k)
-    if value < math.inf:
-        return value
-    raise DomainError(
-        f"{('rho', 'P')[k]} = {value!r} is outside the double range "
-        f"(d={spec.d:g}, sigma={spec.sigma:g}, T={T!r})"
-    )
+    try:
+        value = _spec_constraint(spec, natural, k)
+        if not value < math.inf:
+            raise DomainError(f"{('rho', 'P')[k]} = {value!r} is outside the double range")
+    except DomainError as exc:  # or no length factor converts it: SI past d = 27.29
+        raise DomainError(f"{exc} (d={spec.d:g}, sigma={spec.sigma:g}, T={T!r})") from None
+    return value
 
 
 def solve_gap_isochore(spec: GasSpec, T: float, rho: float) -> ThermoPoint:
@@ -139,13 +139,10 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
     d, sigma, T and value.
     """
     tc, target, a = _transition(spec, value, k)
-    nu, mass, energy = spec.d_over_sigma, spec.mass, _scales(spec)[0]
+    nu, energy = spec.d_over_sigma, _scales(spec)[0]
     at_tc = (REGIME_CRITICAL, REGIME_BOUNDARY)[k]
     log_target = None if target is None else math.log(target)
-    try:  # natural / fa * fe / fb is _spec_constraint(spec, natural, 1 - k)
-        fa, fe, fb = _spec_factors(spec, 1 - k)
-    except DomainError:  # L0^(d/2) leaves the doubles: raised where a state converts
-        fa = None
+    units = _unit_map(spec, 1 - k)  # the conjugate's
     order = nu + (1 - k)  # of the conjugate's g, which at r = 0 is zeta where that converges
     g_zero = zeta(order) if order > 1.0 else None
     # the isobar's g_nu(r / T) may be its solve's last pass, order (nu + 1) - 1,
@@ -166,41 +163,30 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
         else:
             regime, solve = REGIME_CONDENSED, False
             psi2 = _condensed_fraction(nu, T / tc)
-        pref = math.nan  # lambda_T^-d A; T^k times it is the prefactor of the solve
-        if a is not None:
-            try:
-                pref = (mass * T / _TWO_PI) ** nu * a
-            except OverflowError:
-                pref = math.inf
-        pref_k = T * pref if k else pref
-        if _FLOAT_MIN <= pref_k < math.inf:
-            log_pref = math.log(pref_k)
-        else:  # the product, or A, leaves the normal doubles: the sum of logs
-            pref, log_pref = _prefactor(spec, T, k, a)
+        pref, log_pref = _prefactor(spec, T, k, a)  # lambda_T^-d A, ln(T^k lambda_T^-d A)
         r_nat, g = 0.0, None
         try:
             if solve:
                 if log_target is None:  # raises value's DomainError, which gets the state below
                     _natural_constraint(spec, value, k)
                 r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T)
-            if pref == math.inf and r_nat / T < CLASSICAL_Y:  # the conjugate below needs it
+            y = r_nat / T
+            if y >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
+                conjugate = value / (T * energy) if k else T * value * energy
+            elif pref == math.inf:  # the conjugate below needs it
                 raise DomainError(f"lambda_T^-d A = {pref!r} is outside the double range")
+            elif diverges and not solve:
+                states.append((T, t, 0.0, psi2, math.inf, regime))
+                continue
+            else:
+                if not (reuse and g is not None):
+                    g = bose_g(order, y).value if y or g_zero is None else g_zero
+                conjugate = _convert(units, (pref if k else T * pref) * g, False)
         except (ConvergenceError, DomainError) as exc:
             raise type(exc)(
                 f"{('isochore', 'isobar')[k]} gap solve failed at d={spec.d!r}, "
                 f"sigma={spec.sigma!r}, T={T!r}, {('rho', 'P')[k]}={value!r}: {exc}"
             ) from exc
-        y = r_nat / T
-        if y >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
-            conjugate = value / (T * energy) if k else T * value * energy
-        elif diverges and not solve:
-            states.append((T, t, 0.0, psi2, math.inf, regime))
-            continue
-        else:
-            if not (reuse and g is not None):
-                g = bose_g(order, y).value if y or g_zero is None else g_zero
-            natural = (pref if k else T * pref) * g
-            conjugate = natural / fa * fe / fb if fa else _spec_constraint(spec, natural, 1 - k)
         if conjugate == math.inf:
             raise DomainError(
                 f"{('isochore', 'isobar')[k]} state at d={spec.d!r}, sigma={spec.sigma!r}, "

@@ -170,6 +170,11 @@ README_EXAMPLES = {
         "--pressure", "1e-11", "--tmin", "1e-7", "--tmax", "1e-5", "--points", "12",
         "--spacing", "log",
     ],
+    "sweep_density_si.csv": [
+        "sweep", "--d", "3", "--sigma", "2", "--mass", "1.443160648e-25", "--units", "si",
+        "--density", "1e19", "--tmin", "2e-8", "--tmax", "2e-7", "--points", "12",
+        "--spacing", "log",
+    ],
 }
 
 

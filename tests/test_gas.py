@@ -1,6 +1,9 @@
 """Model record, prefactors, thermal wavelength, SI against natural units."""
 
 import math
+import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from bose_eos import (
     BoxSpec,
     DomainError,
     GasSpec,
+    SweepRequest,
+    bose_g,
     critical_temperature_density,
     critical_temperature_pressure,
     density_at,
@@ -20,10 +25,13 @@ from bose_eos import (
     landau_model,
     prefactor_A,
     pressure_at,
+    run_sweep,
     solve_gap_isobar,
     solve_gap_isochore,
     thermal_wavelength,
+    zeta,
 )
+from bose_eos.gas import KB_SI, _natural_constraint, _scales, _spec_constraint
 
 
 def test_spec_validation():
@@ -293,3 +301,55 @@ def test_dispersion_si_matches_direct_formula():
     spec = GasSpec(d=3.0, sigma=2.0, mass=mass, units="si")
     k = 1e9
     assert dispersion(spec, k) == pytest.approx(hbar**2 * k**2 / (2 * mass), rel=1e-10, abs=0.0)
+
+
+RB87 = GasSpec(3.0, 2.0, 1.443160648e-25, "si")
+
+
+@pytest.mark.parametrize("rho", [5e-128, 1e-130])
+@pytest.mark.parametrize("ratio", [2.0, 0.5])
+def test_si_pressure_where_natural_times_e0_underflows(rho, ratio):
+    # The natural pressure times E0 = k_B * 1 K is subnormal or zero here, so the
+    # pressure leaves the natural units by L0^3 first: P was 2.7% and 37% off at
+    # rho = 5e-128 m^-3, and 0.0 at 1e-130, where rho k_B T g_(5/2) / g_(3/2) is 9e-260 Pa
+    T = ratio * critical_temperature_density(RB87, rho)
+    point = solve_gap_isochore(RB87, T, rho)
+    assert point.regime == ("condensed", "normal")[ratio > 1.0]
+    y = point.r / (KB_SI * T)
+    if point.regime == "normal":
+        expected = rho * KB_SI * T * bose_g(2.5, y).value / bose_g(1.5, y).value
+    else:
+        expected = rho * (1.0 - point.psi2) * KB_SI * T * zeta(2.5) / zeta(1.5)
+    request = SweepRequest(spec=RB87, constraint="density", value=rho, T_min=T, T_max=2.0 * T,
+                           points=2)
+    for P in (point.P, pressure_at(RB87, T, point.r), run_sweep(request).rows[0]["P"]):
+        assert P == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("natural", [1e-300, 1e-305])
+def test_si_pressure_of_a_small_natural_pressure_is_exact(natural):
+    # 1e-300 E0 underflows to a subnormal, 1e-305 E0 to zero: they gave 6.483e-256 and 0.0
+    energy, length = (Fraction(v) for v in _scales(RB87))
+    exact = Fraction(natural) * energy / length**3
+    assert abs(Fraction(_spec_constraint(RB87, natural, 1)) / exact - 1) <= Fraction(1, 10**15)
+
+
+def test_si_conversions_are_exact_wherever_input_and_result_are_normal():
+    # A seeded sample of integer SI d = 1 to 26 over every decade of the doubles,
+    # both ways: each step of the unit map rounds a normal double once
+    rng = random.Random(24)
+    low, high = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+    checked = 0
+    for _ in range(3000):
+        d, k, inward = rng.randint(1, 26), rng.randint(0, 1), rng.random() < 0.5
+        spec = GasSpec(float(d), 2.0, 1.443160648e-25, "si")
+        x = rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-308, 307)
+        energy, length = (Fraction(v) for v in _scales(spec))
+        scale = length**d / energy**k if inward else energy**k / length**d
+        exact = Fraction(x) * scale
+        if not (sys.float_info.min <= x < sys.float_info.max and low <= exact < high):
+            continue
+        checked += 1
+        value = (_natural_constraint if inward else _spec_constraint)(spec, x, k)
+        assert abs(Fraction(value) / exact - 1) <= Fraction(1, 10**15), (d, k, inward, x)
+    assert checked > 1000

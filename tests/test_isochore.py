@@ -253,14 +253,18 @@ def test_evaluator_overflow_is_a_domain_error_naming_the_state(evaluator, units)
     # lambda_T^-d A zeta(1.5) ~ 1.7e299 / L0^3 ~ 7e366 in SI; each once came back as +-inf.
     # At d = 1000, sigma = 1, T = 1, y = 40 is classical and e^(ln(T^k lambda_T^-d A) - y)
     # = e^(2728 - 40) once raised a bare OverflowError
+    # At SI d = 28, L0^d and L0^(d/2) are both subnormal: no density or pressure converts
     spec = GasSpec(d=3.0, sigma=2.0, mass=1.0, units=units)
     for state, names in (
-        ((spec, 1e200, 0.0), ("d=3", "sigma=2", "T=1e+200")),
-        ((GasSpec(d=1000.0, sigma=1.0), 1.0, 40.0), ("d=1000", "sigma=1", "T=1.0")),
+        ((spec, 1e200, 0.0), ("d=3", "sigma=2", "T=1e+200", "double range")),
+        ((GasSpec(d=1000.0, sigma=1.0), 1.0, 40.0),
+         ("d=1000", "sigma=1", "T=1.0", "double range")),
+        ((GasSpec(28.0, 2.0, 1e-25, "si"), 1e-6, 1e-30),
+         ("d=28", "sigma=2", "T=1e-06", "L0^(d/2)")),
     ):
         with pytest.raises(DomainError) as info:
             evaluator(*state)
-        for part in (*names, "double range"):
+        for part in names:
             assert part in str(info.value)
     # at y = r / T = 1200, T^k lambda_T^-d A overflows and g = e^-y underflows,
     # but the value, (T / 2 pi)^1.5 T^k e^-y in natural units, is a double
@@ -345,4 +349,16 @@ def test_subnormal_natural_density_is_a_domain_error_naming_the_state():
     with pytest.raises(DomainError) as info:
         solve_gap_isochore(spec, 2.0 * tc, rho)
     for part in ("d=3.0", "sigma=2.0", "rho=1e-250", "normal doubles"):
+        assert part in str(info.value)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+def test_a_state_past_the_unit_map_is_a_domain_error_naming_the_state(ratio):
+    # SI at d = 28: neither L0^d nor L0^(d/2) is a normal double, so the pressure of a
+    # condensed or critical state, and the held density of a normal one, fail to convert
+    spec = GasSpec(28.0, 2.0, 1e-25, "si")
+    T = ratio * critical_temperature_density(spec, 1e20)
+    with pytest.raises(DomainError) as info:
+        solve_gap_isochore(spec, T, 1e20)
+    for part in ("d=28.0", "sigma=2.0", f"T={T!r}", "rho=1e+20", "L0^(d/2)"):
         assert part in str(info.value)

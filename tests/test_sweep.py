@@ -425,7 +425,7 @@ def test_a_failing_sweep_raises_its_first_failing_point_solve(constraint, value,
 
 
 def test_sweep_takes_the_request_constants_once(monkeypatch):
-    # the unit scales, zeta and A are the same for every row of a request
+    # the unit scales and factors, zeta and A are the same for every row of a request
     calls = []
 
     def counted(module, name):
@@ -439,7 +439,7 @@ def test_sweep_takes_the_request_constants_once(monkeypatch):
 
     for module in (bose_eos.gas, bose_eos.isochore, bose_eos.isobar, bose_eos.sweep,
                    bose_eos.special):
-        for name in ("_scales", "zeta", "prefactor_A"):
+        for name in ("_scales", "_unit_map", "zeta", "prefactor_A"):
             if hasattr(module, name):
                 counted(module, name)
     for spec, rho, P in ROW_SPECS[:2]:
