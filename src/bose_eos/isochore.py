@@ -184,8 +184,8 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
                 conjugate = _convert(units, (pref if k else T * pref) * g, False)
         except (ConvergenceError, DomainError) as exc:
             raise type(exc)(
-                f"{('isochore', 'isobar')[k]} gap solve failed at d={spec.d!r}, "
-                f"sigma={spec.sigma!r}, T={T!r}, {('rho', 'P')[k]}={value!r}: {exc}"
+                f"{('isochore', 'isobar')[k]} {'gap solve failed' if solve else 'state'} at "
+                f"d={spec.d!r}, sigma={spec.sigma!r}, T={T!r}, {('rho', 'P')[k]}={value!r}: {exc}"
             ) from exc
         if conjugate == math.inf:
             raise DomainError(

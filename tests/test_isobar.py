@@ -225,3 +225,18 @@ def test_density_below_the_doubles_gives_infinite_volume():
     pt = solve_gap_isobar(SPEC32, 1e100, 1e-250)
     assert pt.regime == "normal" and pt.r > 0.0
     assert pt.rho == 0.0 and pt.v == math.inf
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-9])
+def test_a_boundary_row_past_the_doubles_names_the_state(ratio):
+    # at T_c(P) = 2.7e-60, lambda_T^-d A = P / (T_c zeta(5/2)) ~ 3e359 leaves the
+    # doubles, and with it the density; the r = 0 row runs no solve. (On an
+    # isochore's condensed row lambda_T^-d A <= rho / zeta(d/sigma) stays finite.)
+    spec = GasSpec(3.0, 2.0, 1e300)
+    T = ratio * critical_temperature_pressure(spec, 1e300)
+    with pytest.raises(DomainError) as info:
+        solve_gap_isobar(spec, T, 1e300)
+    assert str(info.value) == (
+        f"isobar state at d=3.0, sigma=2.0, T={T!r}, P=1e+300: "
+        "lambda_T^-d A = inf is outside the double range"
+    )

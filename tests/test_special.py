@@ -24,8 +24,10 @@ from bose_eos.special import (
     CLASSICAL_Y,
     SMALL_Y_SWITCH,
     _bose_any_order,
+    _bose_expansion,
     _bose_pair,
     _bose_series,
+    _expansion_constants,
     _series_powers,
     _series_terms_needed,
 )
@@ -274,6 +276,69 @@ def test_series_route_equals_a_plain_horner_bit_for_bit(monkeypatch, short_table
             assert (res.value, res.terms_used) == (value, n_terms), (nu, y)
             if nu >= 1.0:
                 assert _bose_pair(nu, y) == (value, _plain_horner(nu - 1.0, y)[0]), (nu, y)
+
+
+def _reference_expansion(nu, y):
+    """The small-y expansion with its term loop as first written: abs and max per term."""
+    coeffs, lead, pair = _expansion_constants(nu)
+    if pair is None:
+        try:
+            total = lead * y ** (nu - 1.0)
+        except OverflowError:
+            raise DomainError(
+                f"g_nu(y) leaves the doubles at nu={nu!r}, y={y!r}: y^(nu - 1) overflows"
+            ) from None
+        magnitude = abs(total) * (1.0 + abs((nu - 1.0) * math.log(y)))
+    else:
+        m, eps, scale, zeta_regular, c = pair
+        log_term = math.log(y) + c
+        lead = math.expm1(eps * log_term) / eps if eps else log_term
+        scale *= y**m
+        total = scale * (zeta_regular - lead)
+        magnitude = abs(scale) * (abs(zeta_regular) + abs(lead))
+    power = 1.0  # (-y)^k
+    previous = math.inf
+    for k, coeff in enumerate(coeffs):
+        term = coeff * power
+        total += term
+        magnitude = max(magnitude, abs(term))
+        power *= -y
+        omitted = abs(term) + abs(previous)
+        if omitted < _EPS * abs(total):
+            break
+        previous = term
+    return EvalResult(total, omitted + 4.0 * _EPS * magnitude, k + 1)
+
+
+def _outcome(evaluate, nu, y):
+    """repr of (value, est_error, terms_used), or the type of the error raised."""
+    try:
+        return repr(tuple(evaluate(nu, y)))
+    except Exception as exc:  # any type: the two must raise alike
+        return type(exc)
+
+
+def test_expansion_equals_its_first_written_loop_bit_for_bit():
+    # integer orders, orders just off them, at and inside the _MERGE_TOL edge
+    # on both sides, and non-integer orders, on y log-uniform in [1e-300, 0.5)
+    rng = random.Random(3)
+    orders = [
+        n + offset
+        for n in range(-1, 9)
+        for offset in (0.0, 1e-9, -1e-9, 5e-4, -5e-4, 0.999e-3, -0.999e-3)
+        if -1.0 < n + offset <= 8.0
+    ]
+    orders += [rng.uniform(-1.0, 8.0) for _ in range(40)]
+    ys = [10.0 ** rng.uniform(-300.0, math.log10(SMALL_Y_SWITCH)) for _ in range(30)]
+    ys += [1e-300, 1e-8, 0.1, math.nextafter(SMALL_Y_SWITCH, 0.0)]
+    cases = [(nu, y) for nu in orders for y in ys]
+    cases += [(0.01, 5e-324), (0.001, 1e-310)]  # the overflowing-lead DomainErrors
+    raised = 0
+    for nu, y in cases:
+        expected = _outcome(_reference_expansion, nu, y)
+        assert _outcome(_bose_expansion, nu, y) == expected, (nu, y)
+        raised += expected is DomainError
+    assert raised >= 2
 
 
 @pytest.mark.parametrize("nu, y", [(1.5, 0.49), (2.0, 1e-3), (3.0, 1e-8), (0.5, 2.0)])
