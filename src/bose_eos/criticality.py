@@ -9,8 +9,10 @@ whose stationary points reproduce the equation of state: Psi = 0 above the
 transition, Psi^2 = -(d/sigma) t below it, with the chemical potential
 vanishing on the condensed branch. The same bracket raised to
 sigma/(d - sigma) gives the asymptotic chemical potential, which must match
-the exact gap solver as t -> 0+; that cross-check and the numerically fitted
-critical exponents are what validate the analytics here.
+the exact gap solver as t -> 0+. That ratio, falling towards 1 along a ladder
+of t, is what validates the analytics here; gamma = sigma nu and
+eta = 2 - sigma hold by construction, since xi = (c/r)^(1/sigma) and
+chi(k) = 1/(c k^sigma) at r = 0.
 """
 
 from __future__ import annotations
@@ -157,23 +159,16 @@ def chemical_potential_asymptotic(model: LandauModel, psi: float) -> float:
 
 
 def landau_taylor_coefficients(model: LandauModel) -> tuple[float, float]:
-    """Numerical Taylor coefficients of f at Psi = 0, in front of Psi^2 and Psi^4.
+    """Taylor coefficients of f at Psi = 0, in front of Psi^2 and Psi^4.
 
-    Needs t > 0 (the expansion point must sit inside the real branch).
-    Uses even-function central stencils with step h proportional to
-    sqrt((d/sigma) t), which keeps the relative truncation bias constant
-    across t so fitted scaling powers are unaffected.
+    With p = d/(d - sigma) and b = (d/sigma) t they are exactly
+    C_f p b^(p-1) and C_f p (p-1)/2 b^(p-2). Needs t > 0 (the expansion point
+    must sit inside the real branch).
     """
     if model.t <= 0.0:
         raise DomainError("Taylor coefficients at Psi = 0 need t > 0")
-    b0 = model.d_over_sigma * model.t
-    h = 0.05 * math.sqrt(b0)
-    f0 = landau_free_energy(model, 0.0)
-    f1 = landau_free_energy(model, h)
-    f2 = landau_free_energy(model, 2.0 * h)
-    coeff2 = (f1 - f0) / h**2
-    coeff4 = (2.0 * f2 - 8.0 * f1 + 6.0 * f0) / (24.0 * h**4)
-    return coeff2, coeff4
+    p, b = model.free_energy_exponent, model.d_over_sigma * model.t
+    return model.C_f * p * b ** (p - 1.0), model.C_f * p * (p - 1.0) / 2.0 * b ** (p - 2.0)
 
 
 def correlation_quantities(spec: GasSpec, r: float) -> CorrelationQuantities:

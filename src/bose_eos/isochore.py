@@ -164,11 +164,12 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
             regime, solve = REGIME_CONDENSED, False
             psi2 = _condensed_fraction(nu, T / tc)
         pref, log_pref = _prefactor(spec, T, k, a)  # lambda_T^-d A, ln(T^k lambda_T^-d A)
-        r_nat, g = 0.0, None
+        r_nat, g, failed = 0.0, None, "state"
         try:
             if solve:
                 if log_target is None:  # raises value's DomainError, which gets the state below
                     _natural_constraint(spec, value, k)
+                failed = "gap solve failed"
                 r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T)
             y = r_nat / T
             if y >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
@@ -184,7 +185,7 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
                 conjugate = _convert(units, (pref if k else T * pref) * g, False)
         except (ConvergenceError, DomainError) as exc:
             raise type(exc)(
-                f"{('isochore', 'isobar')[k]} {'gap solve failed' if solve else 'state'} at "
+                f"{('isochore', 'isobar')[k]} {failed} at "
                 f"d={spec.d!r}, sigma={spec.sigma!r}, T={T!r}, {('rho', 'P')[k]}={value!r}: {exc}"
             ) from exc
         if conjugate == math.inf:

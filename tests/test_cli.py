@@ -374,7 +374,7 @@ def test_verify_quick_passes():
     assert not any(line.startswith("FAIL") for line in lines)
 
 
-@pytest.mark.parametrize("level, count", [("quick", 11), ("full", 23)])
+@pytest.mark.parametrize("level, count", [("quick", 10), ("full", 15)])
 def test_verify_prints_registry_checks_in_order(level, count):
     proc = run_cli("verify", "--level", level)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -116,8 +116,20 @@ def test_taylor_coefficients_match_cubic_expansion():
     model = landau_model(SPEC32, rho=1.0, t=t)
     b0 = model.d_over_sigma * t
     c2, c4 = landau_taylor_coefficients(model)
-    assert c2 == pytest.approx(3.0 * model.C_f * b0**2, rel=1e-2)
-    assert c4 == pytest.approx(3.0 * model.C_f * b0, rel=2e-2)
+    assert c2 == pytest.approx(3.0 * model.C_f * b0**2, rel=1e-14)
+    assert c4 == pytest.approx(3.0 * model.C_f * b0, rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 0.01])
+def test_taylor_coefficients_at_a_non_integer_power(t):
+    # (3, 1.8): f = C_f (b0 + psi^2)^(5/2), so the psi^2 and psi^4 coefficients
+    # are (5/2) C_f b0^(3/2) and (15/8) C_f b0^(1/2)
+    model = landau_model(GasSpec(d=3.0, sigma=1.8), rho=1.0, t=t)
+    assert model.free_energy_exponent == pytest.approx(2.5, rel=1e-15)
+    b0 = t * 3.0 / 1.8
+    c2, c4 = landau_taylor_coefficients(model)
+    assert c2 == pytest.approx(2.5 * model.C_f * b0 * math.sqrt(b0), rel=1e-14)
+    assert c4 == pytest.approx(15.0 / 8.0 * model.C_f * math.sqrt(b0), rel=1e-14)
 
 
 def test_taylor_coefficients_need_positive_t():
