@@ -171,6 +171,7 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
                     _natural_constraint(spec, value, k)
                 failed = "gap solve failed"
                 r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T)
+                failed = "state"  # what fails from here on is the converged state's conjugate
             y = r_nat / T
             if y >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
                 conjugate = value / (T * energy) if k else T * value * energy

@@ -14,9 +14,10 @@ otherwise at the middle of the bracket. Newton steps take the slope
 phi' = -g_(order-1) / g_order, with g_order from the same iterate, and fall
 back to bisection whenever a step leaves the bracket or the derivative order
 makes g_(order-1) blow up near r = 0. On the series route (y >= 0.5) one
-Horner pass gives an iterate both g_order and g_(order-1); below it the
-expansion stops each order at its own term, so g_(order-1) is a second call,
-made only when a Newton step is taken.
+Horner pass gives an iterate both g_order and g_(order-1); below it each
+order's expansion sums its own cached coefficients, to the term count its
+reach table gives, so g_(order-1) is a second call, made only when a Newton
+step is taken.
 """
 
 from __future__ import annotations

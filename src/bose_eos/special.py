@@ -21,11 +21,11 @@ Two routes cover every real order:
 
       g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_{k >= 0} (-y)^k zeta(nu - k) / k!
 
-  whose terms fall by y / 2 pi per step, so it needs at most ~40 terms;
-  its zeta coefficients are cached per order. Each order stops at its own
-  term, so g_nu and g_(nu-1) stay two calls here. For nu within _MERGE_TOL
-  of an integer n >= 1 its two pole terms (the Gamma lead and k = n - 1)
-  are merged analytically. At nu = n this is the logarithmic form
+  by Horner in -y over zeta coefficients cached per order, its term count
+  fixed before the sum by the order's reach table (at most 16 for nu in
+  (-1, 8]), so g_nu and g_(nu-1) stay two calls here. For nu within
+  _MERGE_TOL of an integer n >= 1 its two pole terms (the Gamma lead and
+  k = n - 1) are merged analytically. At nu = n this is the logarithmic form
   (J. E. Robinson, Phys. Rev. 83, 678 (1951); D. C. Wood, Univ. of Kent
   TR 15-92 (1992))
 
@@ -46,21 +46,24 @@ instead of hoping for it. An argument at which g_nu leaves the doubles
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import DivergentValue, DomainError, PoleError
 
 _EPS = sys.float_info.epsilon
+_CUT = _EPS / 8.0  # the small-y expansion's absolute truncation bound
+_tuple_new = tuple.__new__  # builds an EvalResult without its Python-level __new__
 
 # Below this argument the small-argument expansion replaces the direct
-# series. At the switch the expansion needs about 16 terms and the series
-# 72 to 81 (nu in (-1, 8]), but a Horner step costs far less than an
-# expansion term: on y in [0.5, 1) a series call takes about 3-4.5 us and an
-# expansion call 3-6 us, on [0.3, 0.5) the expansion 3-4 us and the series
-# (over a table built for its count) 4-6 us (warm calls, nu uniform in
-# (-1, 8], 2-vCPU host, Python 3.11). Moving the switch changes bits.
+# series. At the switch the expansion sums 14 to 16 terms and the series
+# 72 to 81 (nu in (-1, 8]). Warm calls, nu uniform in (-1, 8]: on y in
+# [0.3, 0.5) the expansion takes 1.7-2.4 us and the series (over a table
+# built for its count) 5.9-8 us, on [0.5, 1) the series 6.0-6.3 us (2-vCPU
+# host, Python 3.11, one interleaved run). Moving the switch changes bits.
 SMALL_Y_SWITCH = 0.5
 
 # From this argument on g_nu(y) = e^-y to double precision for every order
@@ -72,10 +75,6 @@ CLASSICAL_Y = 37.0
 # expansion's Gamma(1 - nu) and zeta(nu - k) poles cancel to about
 # 3e-16 / |nu - n| of y^(n-1) / (n-1)!, which stays below 3e-13 outside it.
 _MERGE_TOL = 1e-3
-
-# Expansion coefficients cached per order; terms fall by y / 2 pi < 0.08
-# per step below the switch, so the sum stops before this.
-_KMAX_ADAPTIVE = 40
 
 # Stieltjes constants gamma_0 .. gamma_5, zeta(1 + eps) - 1/eps =
 # sum_j (-1)^j gamma_j eps^j / j!; mpmath.stieltjes(j) at 40 digits, rounded.
@@ -280,11 +279,33 @@ def _bose_series(nu: float, y: float) -> EvalResult:
     return EvalResult(value, tail + (2.0 * mean_n + 2.0) * _EPS * value + 1e-323, n_terms)
 
 
+def _tail_bound(nu: float, n: int) -> float:
+    """A bound on sum_(k >= n) |zeta(nu - k)| / k!, or inf: the expansion's tail.
+
+    For k >= k0 = max(n, floor(nu) + 2), s = nu - k <= -1 and the functional
+    equation gives |zeta(s)| / k! <= b_k = 2 zeta(2) (2 pi)^(s - 1)
+    Gamma(1 - s) / k!, where b_(k+1) / b_k = (k + 1 - nu) / (2 pi (k + 1)) is
+    at most its value at k0, or 1 / 2 pi. The k in [n, k0) have s > -1 and
+    |zeta(s)| < 2000 off the merged pole, so they add less than 4000 / n!.
+    """
+    k0 = max(n, math.floor(nu) + 2)
+    ratio = max(1.0, (k0 + 1.0 - nu) / (k0 + 1.0)) / _TWO_PI
+    log_b = (nu - k0 - 1.0) * math.log(_TWO_PI) + math.lgamma(k0 + 1.0 - nu) - math.lgamma(k0 + 1.0)
+    if ratio >= 1.0 or log_b > 700.0:
+        return math.inf
+    return 3.3 * math.exp(log_b) / (1.0 - ratio) + (4000.0 / math.factorial(n) if k0 > n else 0.0)
+
+
 @functools.lru_cache(maxsize=512)
 def _expansion_constants(nu: float) -> tuple:
-    """Per-order constants of the small-y expansion: (coeffs, lead, pair).
+    """Per-order constants of the small-y expansion: (tables, reach, weight, lead, pair).
 
-    coeffs[k] = zeta(nu - k) / k! for k < _KMAX_ADAPTIVE and
+    tables[K - 1] holds c_(K-1) .. c_0, c_k = zeta(nu - k) / k!, in Horner's
+    order, for K up to N, the fewest terms whose tail bound (_tail_bound) has
+    T_N SMALL_Y_SWITCH^N <= _CUT / 2. For y < 1 the terms from K on add at
+    most y^K S_K, S_K = T_N + sum_(K <= k < N) |c_k|, so K terms serve y up to
+    reach[K - 1] = (_CUT / S_K)^(1/K), raised to the largest before it
+    (reach[N - 1] > 1/2). weight = sum_k (k + 1) |c_k| 2^-k.
     lead = Gamma(1 - nu), unless nu = n + eps with n >= 1 and
     |eps| < _MERGE_TOL. Then lead and coefficient k = m = n - 1 both have a
     pole at eps = 0; writing the lead as -(-y)^m / m! exp(x) / eps with
@@ -294,7 +315,7 @@ def _expansion_constants(nu: float) -> tuple:
     the series of ln(pi eps / sin(pi eps)) - ln(Gamma(n + eps) / Gamma(n))
     with H_m^(p) = sum_(j <= m) j^-p, their sum is
     (-y)^m / m! [(zeta(1 + eps) - 1/eps) - expm1(x) / eps], free of the pole.
-    coeffs[m] is then 0, lead is None, and pair holds
+    c_m is then 0, lead is None, and pair holds
     (m, eps, (-1)^m / m!, zeta(1 + eps) - 1/eps, c) with x = eps (ln y + c).
     x runs through eps^6 and the Stieltjes series through gamma_5; the
     omitted terms are below 1e-18 at |eps| = 1e-3.
@@ -315,24 +336,32 @@ def _expansion_constants(nu: float) -> tuple:
         pair = (m, eps, scale, zeta_regular, eps * tail - psi)
     else:
         lead = gamma(1.0 - nu)
-    coeffs = []
-    inv_fact = 1.0
-    for k in range(_KMAX_ADAPTIVE):
-        coeffs.append(0.0 if k == m else zeta(nu - k) * inv_fact)
-        inv_fact /= k + 1
-    return tuple(coeffs), lead, pair
+    fits = (k for k in range(1, 101) if _tail_bound(nu, k) * SMALL_Y_SWITCH**k <= _CUT / 2.0)
+    n_terms = next(fits, None)
+    if n_terms is None:  # orders below about -70, where g_nu nears the top of the doubles
+        raise DomainError(f"the small-y expansion of order nu={nu!r} needs over 100 terms")
+    coeffs = [0.0 if k == m else zeta(nu - k) / math.factorial(k) for k in range(n_terms)]
+    size, reach, weight = _tail_bound(nu, n_terms), [], 0.0
+    for k in range(n_terms - 1, -1, -1):  # size is S_(k+1)
+        reach.append((_CUT / size) ** (1.0 / (k + 1)))
+        size += abs(coeffs[k])
+        weight += (k + 1) * abs(coeffs[k]) * SMALL_Y_SWITCH**k
+    tables = tuple(tuple(coeffs[k::-1]) for k in range(n_terms))
+    return tables, tuple(itertools.accumulate(reversed(reach), max)), weight, lead, pair
 
 
 def _bose_expansion(nu: float, y: float) -> EvalResult:
-    """Small-argument expansion around y = 0, 0 < y < 2 pi.
+    """Small-argument expansion around y = 0, 0 < y < SMALL_Y_SWITCH.
 
-    The sum stops once two consecutive terms are below round-off (one of
-    them may sit on a trivial zero of zeta); later terms shrink by y / 2 pi
-    per step, so those two bound the rest. The round-off allowance scales
-    with the largest intermediate: the lead and the zeta sum cancel when nu
-    sits near an integer.
+    The reach table fixes the term count K, and the omitted terms add at
+    most _CUT. Step k of Horner's rule in -y rounds a product and a sum, and
+    y^k scales both, so to first order the sum rounds by at most
+    eps sum_k (k + 1) |c_k| y^k <= eps weight. The allowance
+    4 eps max(lead magnitude, weight) also covers the final sum, the lead
+    (which cancels against the zeta sum when nu sits near an integer) and
+    the coefficients' few ulp.
     """
-    coeffs, lead, pair = _expansion_constants(nu)
+    tables, reach, weight, lead, pair = _expansion_constants(nu)
     if pair is None:
         try:
             total = lead * y ** (nu - 1.0)
@@ -350,22 +379,14 @@ def _bose_expansion(nu: float, y: float) -> EvalResult:
         scale *= y**m
         total = scale * (zeta_regular - lead)
         magnitude = abs(scale) * (abs(zeta_regular) + abs(lead))
-    power = 1.0  # (-y)^k
-    previous = math.inf  # |term| of the step before
-    k = 0
-    for coeff in coeffs:
-        term = coeff * power
-        total += term
-        size = abs(term)
-        if size > magnitude:
-            magnitude = size
-        power *= -y
-        k += 1
-        omitted = size + previous
-        if omitted < _EPS * abs(total):
-            break
-        previous = size
-    return EvalResult(total, omitted + 4.0 * _EPS * magnitude, k)
+    k = bisect_left(reach, y)
+    x = -y
+    value = 0.0
+    for coeff in tables[k]:
+        value = value * x + coeff
+    if weight > magnitude:
+        magnitude = weight
+    return _tuple_new(EvalResult, (total + value, _CUT + 4.0 * _EPS * magnitude, k + 1))
 
 
 def _bose_any_order(nu: float, y: float) -> EvalResult:
@@ -415,12 +436,11 @@ def _bose_pair(nu: float, y: float) -> tuple:
     """(g_nu(y), g_(nu-1)(y)) on the series route, (g_nu(y), None) elsewhere.
 
     On the series route (y >= SMALL_Y_SWITCH) with nu >= 1 both sums come
-    from one Horner pass with two accumulators: for orders >= 0 the term
-    count does not depend on the order, so one z, one count and the same
-    powers in the same order, paired in one cached table, give each sum bit
-    for bit as _bose_series does. Elsewhere the value is bose_g's, and a
-    caller that needs g_(nu-1) takes it from _bose_any_order: the expansion
-    stops each order at its own term.
+    from one Horner pass with two accumulators over a cached table of
+    (n^-nu, n^-(nu-1)) pairs: for orders >= 0 the term count does not depend
+    on the order, so each sum is bit for bit _bose_series'. Elsewhere a caller
+    that needs g_(nu-1) takes it from _bose_any_order: each order's
+    expansion has its own coefficients and reach table.
     """
     if y < SMALL_Y_SWITCH or nu < 1.0:
         return bose_g(nu, y).value, None

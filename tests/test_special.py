@@ -152,9 +152,9 @@ def test_small_y_expansion_consistency_grid():
 
 
 def _route_max_terms(nu, y):
-    """Terms a call may spend: the expansion's 40 coefficients below the switch,
+    """Terms a call may spend: the expansion's cached coefficients below the switch,
     the series' a-priori count at the switch (its cached powers) from there up."""
-    return 40 if y < SMALL_Y_SWITCH else len(_series_powers(nu))
+    return len(_expansion_constants(nu)[0]) if y < SMALL_Y_SWITCH else len(_series_powers(nu))
 
 
 def test_small_y_expansion_against_mpmath():
@@ -278,50 +278,33 @@ def test_series_route_equals_a_plain_horner_bit_for_bit(monkeypatch, short_table
                 assert _bose_pair(nu, y) == (value, _plain_horner(nu - 1.0, y)[0]), (nu, y)
 
 
-def _reference_expansion(nu, y):
-    """The small-y expansion with its term loop as first written: abs and max per term."""
-    coeffs, lead, pair = _expansion_constants(nu)
-    if pair is None:
-        try:
-            total = lead * y ** (nu - 1.0)
-        except OverflowError:
-            raise DomainError(
-                f"g_nu(y) leaves the doubles at nu={nu!r}, y={y!r}: y^(nu - 1) overflows"
-            ) from None
-        magnitude = abs(total) * (1.0 + abs((nu - 1.0) * math.log(y)))
+def _robinson_coefficients(mpmath, nu, n_terms=60):
+    """zeta(nu - k) / k! for k < n_terms in mpmath; at an integer nu = n >= 1 the
+    pole coefficient k = n - 1 is left out (None)."""
+    pole = int(nu) - 1 if nu == int(nu) and nu >= 1.0 else -1
+    nu = mpmath.mpf(nu)
+    return [None if k == pole else mpmath.zeta(nu - k) / mpmath.factorial(k) for k in range(n_terms)]
+
+
+def _robinson_series(mpmath, nu, y, coeffs):
+    """g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_k zeta(nu - k) (-y)^k / k! in mpmath;
+    at nu = n >= 1 the lead and pole term k = n - 1 are (-y)^(n-1) / (n-1)! [H_(n-1) - ln y]."""
+    y = mpmath.mpf(y)
+    if None in coeffs:
+        m = coeffs.index(None)
+        total = (-y) ** m / mpmath.factorial(m) * (mpmath.harmonic(m) - mpmath.log(y))
     else:
-        m, eps, scale, zeta_regular, c = pair
-        log_term = math.log(y) + c
-        lead = math.expm1(eps * log_term) / eps if eps else log_term
-        scale *= y**m
-        total = scale * (zeta_regular - lead)
-        magnitude = abs(scale) * (abs(zeta_regular) + abs(lead))
-    power = 1.0  # (-y)^k
-    previous = math.inf
-    for k, coeff in enumerate(coeffs):
-        term = coeff * power
-        total += term
-        magnitude = max(magnitude, abs(term))
-        power *= -y
-        omitted = abs(term) + abs(previous)
-        if omitted < _EPS * abs(total):
-            break
-        previous = term
-    return EvalResult(total, omitted + 4.0 * _EPS * magnitude, k + 1)
+        total = mpmath.gamma(1 - mpmath.mpf(nu)) * y ** (mpmath.mpf(nu) - 1)
+    return total + sum(c * (-y) ** k for k, c in enumerate(coeffs) if c is not None)
 
 
-def _outcome(evaluate, nu, y):
-    """repr of (value, est_error, terms_used), or the type of the error raised."""
-    try:
-        return repr(tuple(evaluate(nu, y)))
-    except Exception as exc:  # any type: the two must raise alike
-        return type(exc)
-
-
-def test_expansion_equals_its_first_written_loop_bit_for_bit():
-    # integer orders, orders just off them, at and inside the _MERGE_TOL edge
-    # on both sides, and non-integer orders, on y log-uniform in [1e-300, 0.5)
-    rng = random.Random(3)
+def test_expansion_error_bound_against_the_robinson_series_in_mpmath():
+    # Integer orders, orders just off them, at and inside the _MERGE_TOL edge on
+    # both sides, and non-integer orders, on y log-uniform in [1e-300, 0.5). The
+    # reference sums the Robinson series at 50 digits: polylog(nu, e^-y) at 40
+    # digits rounds e^-y to 1 below y ~ 1e-40.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(27)
     orders = [
         n + offset
         for n in range(-1, 9)
@@ -329,21 +312,33 @@ def test_expansion_equals_its_first_written_loop_bit_for_bit():
         if -1.0 < n + offset <= 8.0
     ]
     orders += [rng.uniform(-1.0, 8.0) for _ in range(40)]
-    ys = [10.0 ** rng.uniform(-300.0, math.log10(SMALL_Y_SWITCH)) for _ in range(30)]
-    ys += [1e-300, 1e-8, 0.1, math.nextafter(SMALL_Y_SWITCH, 0.0)]
-    cases = [(nu, y) for nu in orders for y in ys]
-    cases += [(0.01, 5e-324), (0.001, 1e-310)]  # the overflowing-lead DomainErrors
-    raised = 0
-    for nu, y in cases:
-        expected = _outcome(_reference_expansion, nu, y)
-        assert _outcome(_bose_expansion, nu, y) == expected, (nu, y)
-        raised += expected is DomainError
-    assert raised >= 2
+    log_top = math.log10(SMALL_Y_SWITCH)
+    checked = 0
+    with mpmath.workdps(50):
+        for nu in orders:
+            coeffs = _robinson_coefficients(mpmath, nu)
+            ys = [10.0 ** rng.uniform(-300.0, log_top) for _ in range(30)]
+            ys = sorted(ys + [0.1, 0.3, math.nextafter(SMALL_Y_SWITCH, 0.0)])
+            terms = [0]
+            for y in ys:
+                try:
+                    res = _bose_expansion(nu, y)
+                except DomainError:  # y^(nu - 1) overflows: nu < 1 and y near 1e-300
+                    assert nu < 1.0 and (nu - 1.0) * math.log(y) > 709.0, (nu, y)
+                    continue
+                ref = _robinson_series(mpmath, nu, y, coeffs)
+                assert abs(res.value - ref) <= res.est_error, (nu, y, res, ref)
+                if nu > 0.0:
+                    assert res.est_error <= 1e-12 * max(1.0, abs(ref)), (nu, y, res)
+                assert terms[-1] <= res.terms_used <= 20, (nu, y, res, terms)
+                terms.append(res.terms_used)
+                checked += 1
+    assert checked >= 3000
 
 
 @pytest.mark.parametrize("nu, y", [(1.5, 0.49), (2.0, 1e-3), (3.0, 1e-8), (0.5, 2.0)])
 def test_pair_off_the_series_route_leaves_the_lower_order_out(nu, y):
-    # below the switch the expansion stops each order at its own term; below
+    # below the switch each order sums its own cached coefficients; below
     # order 1 the series count of order nu - 1 < 0 differs from order nu's
     assert _bose_pair(nu, y) == (bose_g(nu, y).value, None)
 
