@@ -230,10 +230,17 @@ def _series_terms_needed(nu: float, y: float, one_minus: float) -> int:
 def _horner_table(nu: float, n_terms: int, pair: bool) -> tuple:
     """The series route's coefficients n^-nu, or (n^-nu, n^-(nu-1)) if pair, for n = n_terms .. 1.
 
-    Reversed already, in the order Horner's rule takes them.
+    Reversed already, in the order Horner's rule takes them. Where n^-nu
+    leaves the doubles (orders below about -97, reached only through
+    bose_g_derivative) this is a DomainError.
     """
     down = range(n_terms, 0, -1)
-    return tuple((n**-nu, n ** -(nu - 1.0)) for n in down) if pair else tuple(n**-nu for n in down)
+    try:
+        return tuple((n**-nu, n ** -(nu - 1.0)) for n in down) if pair else tuple(n**-nu for n in down)
+    except OverflowError:
+        raise DomainError(
+            f"the Bose series of order nu={nu!r} leaves the doubles: n^-nu overflows at n = {n_terms}"
+        ) from None
 
 
 @functools.lru_cache(maxsize=512)

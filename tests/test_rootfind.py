@@ -4,12 +4,14 @@
 the root y* = r / T, bracketed by the bounds e^-y <= g_nu(y) <= 1 / (e^y - 1)
 instead of a search for a sign change. These checks hold the bounds against
 the Bose function, every returned root to that bracket and to its
-constraint, the Bose evaluations a solve spends, roots past y = 708, where
+constraint, the table start's distance from the root and the Bose
+evaluations a solve spends, roots past y = 708, where
 g_nu(y) leaves the normal doubles, roots whose prefactor leaves them, and
 the gaps of the README's log sweep against mpmath.
 """
 
 import math
+import random
 import sys
 
 import pytest
@@ -31,7 +33,7 @@ from bose_eos import (
     solve_gap_isochore,
 )
 from bose_eos.rootfind import solve_bose_equation
-from bose_eos.special import SMALL_Y_SWITCH
+from bose_eos.special import CLASSICAL_Y, SMALL_Y_SWITCH
 
 EPS = sys.float_info.epsilon
 ORDERS = st.floats(min_value=1.0, max_value=8.0, exclude_min=True)
@@ -86,7 +88,20 @@ def test_sides_outside_the_normal_doubles_are_a_domain_error(prefactor, target):
 def test_bose_calls_per_solve_far_from_tc(monkeypatch):
     # Every Bose pass a solve makes goes through these three names: a value, on
     # the series route with its slope from the same pass, a value on the
-    # expansion route, or a separate slope.
+    # expansion route, or a separate slope. The start tables are built first,
+    # so that their one-time passes are not counted.
+    specs = [GasSpec(d=d, sigma=sigma) for d, sigma in [(3.0, 2.0), (2.5, 1.7), (3.0, 1.5), (3.0, 1.0)]]
+    far_normal = [
+        (spec, ratio * tc(spec, 1.0), solve)
+        for spec in specs
+        for ratio in (2.0, 3.0, 4.0)
+        for solve, tc in (
+            (solve_gap_isochore, critical_temperature_density),
+            (solve_gap_isobar, critical_temperature_pressure),
+        )
+    ]
+    for spec, T, solve in far_normal:
+        solve(spec, T, 1.0)
     calls = [0]
 
     def counted(fn):
@@ -103,20 +118,72 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
     monkeypatch.setattr(
         bose_eos.rootfind, "_bose_any_order", counted(bose_eos.rootfind._bose_any_order)
     )
-    per_solve = []
-    for d, sigma in [(3.0, 2.0), (2.5, 1.7), (3.0, 1.5), (3.0, 1.0)]:
-        spec = GasSpec(d=d, sigma=sigma)
-        for ratio in (2.0, 3.0, 4.0):
-            for solve, tc in (
-                (solve_gap_isochore, critical_temperature_density),
-                (solve_gap_isobar, critical_temperature_pressure),
-            ):
-                before = calls[0]
-                assert solve(spec, ratio * tc(spec, 1.0), 1.0).r > 0.0
-                per_solve.append(calls[0] - before)
-    assert len(per_solve) == 24
-    assert sum(per_solve) / len(per_solve) <= 3.7, per_solve
-    assert max(per_solve) <= 9, per_solve
+    per_solve, series_route = [], []
+    for spec, T, solve in far_normal:
+        before = calls[0]
+        pt = solve(spec, T, 1.0)
+        assert pt.r > 0.0
+        per_solve.append(calls[0] - before)
+        if pt.r / T >= SMALL_Y_SWITCH:
+            series_route.append(per_solve[-1])
+    assert len(per_solve) == 24 and len(series_route) == 22
+    # two pair passes on the series route: the start and one Newton step
+    assert max(series_route) <= 2, per_solve
+    assert sum(per_solve) / len(per_solve) <= 2.1, per_solve
+    assert max(per_solve) <= 3, per_solve
+
+
+def test_table_start_lands_next_to_the_root(monkeypatch):
+    # Seeded (order, y*) cases over the start table's span [1e-3, 37): orders in
+    # (1, 8], integers and 5e-4 either side of them among them, each solved for
+    # the L = -ln g_order(y*) of the loop's own evaluators. The bounds on phi at
+    # the start iterate are set from measurement (2.2e-7 on the series route,
+    # 1.2e-8 below it); a solve then takes at most the start, a slope and one
+    # Newton value.
+    rng = random.Random(28)
+    orders = [n + off for n in range(1, 9) for off in (-5e-4, 0.0, 5e-4) if 1.0 < n + off <= 8.0]
+    orders += [rng.uniform(1.0, 8.0) for _ in range(60)]
+    cases = [
+        (order, y, -math.log(bose_eos.rootfind._bose_pair(order, y)[0]))
+        for order in orders
+        for y in (10.0 ** rng.uniform(-3.0, math.log10(CLASSICAL_Y)) for _ in range(25))
+    ]
+    assert len(cases) >= 2000
+    for order in orders:
+        bose_eos.rootfind._start_table(order)
+    values, calls = [], [0]
+
+    def recorded(fn, value=None):
+        def wrapped(*args):
+            calls[0] += 1
+            out = fn(*args)
+            if value is not None:
+                values.append(value(out))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_pair", recorded(bose_eos.rootfind._bose_pair, lambda out: out[0])
+    )
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_expansion",
+        recorded(bose_eos.rootfind._bose_expansion, lambda out: out.value),
+    )
+    monkeypatch.setattr(
+        bose_eos.rootfind, "_bose_any_order", recorded(bose_eos.rootfind._bose_any_order)
+    )
+    worst = {True: 0.0, False: 0.0}  # by y* >= SMALL_Y_SWITCH
+    passes = {True: 0, False: 0}
+    for order, y, log_ratio in cases:
+        del values[:]
+        calls[0] = 0
+        solve_bose_equation(order, log_ratio, 1.0)
+        series = y >= SMALL_Y_SWITCH
+        worst[series] = max(worst[series], abs(math.log(values[0]) + log_ratio))
+        passes[series] = max(passes[series], calls[0])
+    assert worst[True] <= 3e-7 and worst[False] <= 1.5e-8, worst
+    assert passes[True] <= 2 and passes[False] <= 3, passes
 
 
 @pytest.mark.parametrize(
@@ -128,7 +195,10 @@ def test_bose_calls_per_solve_far_from_tc(monkeypatch):
 )
 def test_far_normal_solve_takes_no_separate_slope_on_the_series_route(monkeypatch, solve, tc):
     # At T = 10 T_c every iterate sits at y >= SMALL_Y_SWITCH, where one
-    # Horner pass gives the value and the Newton slope together.
+    # Horner pass gives the value and the Newton slope together. A first solve
+    # builds the order's start table, whose passes span y from 1e-3 to 37.
+    spec = GasSpec(d=3.0, sigma=2.0)
+    solve(spec, 10.0 * tc(spec, 1.0), 1.0)
     pair_ys, expansion_ys, slope_ys = [], [], []
 
     def recorded(fn, ys):
@@ -147,7 +217,6 @@ def test_far_normal_solve_takes_no_separate_slope_on_the_series_route(monkeypatc
     monkeypatch.setattr(
         bose_eos.rootfind, "_bose_any_order", recorded(bose_eos.rootfind._bose_any_order, slope_ys)
     )
-    spec = GasSpec(d=3.0, sigma=2.0)
     assert solve(spec, 10.0 * tc(spec, 1.0), 1.0).r > 0.0
     assert pair_ys and min(pair_ys) >= SMALL_Y_SWITCH, pair_ys
     assert expansion_ys == slope_ys == []
@@ -166,11 +235,13 @@ def test_isochore_next_to_tc_at_d_over_sigma_just_above_one():
 
 @pytest.mark.parametrize("solve", [solve_gap_isochore, solve_gap_isobar])
 def test_iteration_cap_is_a_convergence_error_naming_the_state(monkeypatch, solve):
-    monkeypatch.setattr(bose_eos.rootfind, "_MAX_ITER", 2)
+    # the table start leaves |phi| at 8.6e-10 (isochore) and 3.7e-8 (isobar) here,
+    # so one iterate cannot converge
+    monkeypatch.setattr(bose_eos.rootfind, "_MAX_ITER", 1)
     kind = "isochore" if solve is solve_gap_isochore else "isobar"
     with pytest.raises(ConvergenceError, match=(
         rf"^{kind} gap solve failed at d=3.0, sigma=2.0, T=5.0, (rho|P)=1.0: "
-        r"root finder did not converge in 2 iterations \(bracket \[\d"
+        r"root finder did not converge in 1 iterations \(bracket \[\d"
     )):
         solve(GasSpec(d=3.0, sigma=2.0), 5.0, 1.0)
 
@@ -272,7 +343,7 @@ def test_readme_log_sweep_gaps_against_mpmath():
     # every normal row of the README's --pressure 1.0 ... --spacing log sweep
     rows, worst = _sweep_gap_errors("pressure", 0.3, 3.0, 80)
     assert rows == 4  # rows 76 to 79: T_c(P = 1) = 2.68
-    assert worst <= 1e-14, worst
+    assert worst <= 1e-15, worst
 
 
 def test_series_route_sweep_gaps_against_mpmath():
@@ -281,7 +352,7 @@ def test_series_route_sweep_gaps_against_mpmath():
     # isochore and of a --pressure 1.0 --tmin 3 --tmax 30 log isobar
     rows, worst = _sweep_gap_errors("density", 4.0, 40.0, 40, SMALL_Y_SWITCH)
     assert rows == 29
-    assert worst <= 1.2e-13, worst
+    assert worst <= 1e-15, worst
     rows, worst = _sweep_gap_errors("pressure", 3.0, 30.0, 40, SMALL_Y_SWITCH)
     assert rows == 37
-    assert worst <= 5e-14, worst
+    assert worst <= 1e-15, worst

@@ -365,6 +365,13 @@ def test_derivative_divergent_at_zero():
         bose_g_derivative(2.0, 0.0)
 
 
+@pytest.mark.parametrize("nu, y", [(-149.0, 0.6), (-1e6, 3.0)])
+def test_derivative_whose_series_powers_overflow_is_a_domain_error_naming_the_order(nu, y):
+    # -g_(nu-1) on the series route needs n^-(nu-1), which leaves the doubles here
+    with pytest.raises(DomainError, match=rf"order nu={nu - 1.0!r} leaves the doubles"):
+        bose_g_derivative(nu, y)
+
+
 def test_derivative_matches_finite_difference():
     h = 1e-5
     for nu in [1.5, 2.5, 3.5]:

@@ -11,6 +11,7 @@ import pytest
 import bose_eos.gas
 import bose_eos.isobar
 import bose_eos.isochore
+import bose_eos.rootfind
 import bose_eos.sweep
 from bose_eos import (
     COLUMNS,
@@ -401,6 +402,32 @@ def test_isobar_rows_equal_solver_points(spec, rho, P):
     )
     # sentinels below T_c(P), the boundary state at T_c(P), normal states above
     assert seen == {("condensed_boundary", True), ("condensed_boundary", False), ("normal", False)}
+
+
+@pytest.mark.parametrize(
+    "constraint, solve, tc_of",
+    [
+        ("density", solve_gap_isochore, critical_temperature_density),
+        ("pressure", solve_gap_isobar, critical_temperature_pressure),
+    ],
+)
+def test_rows_equal_point_solves_that_build_their_start_table_anew(constraint, solve, tc_of):
+    # The gap solve starts from a per-order table cached once per process. Each
+    # point solve here builds it again, after the sweep, and must give the row's
+    # bits: normal rows from 1.01 to 40 T_c, on both routes of the Bose function.
+    spec = GasSpec(d=2.5, sigma=1.7)
+    tc = tc_of(spec, 1.0)
+    request = SweepRequest(spec=spec, constraint=constraint, value=1.0, T_min=1.01 * tc,
+                           T_max=40.0 * tc, points=24, spacing="log")
+    rows = run_sweep(request).rows
+    for T, row in zip(temperature_grid(request), rows):
+        bose_eos.rootfind._start_table.cache_clear()
+        pt = solve(spec, T, 1.0)
+        assert [repr(row[c]) for c in ("T", "r", "rho", "P", "regime")] == [
+            repr(cell) for cell in (pt.T, pt.r, pt.rho, pt.P, pt.regime)
+        ], T
+    assert {row["regime"] for row in rows} == {"normal"}
+    assert min(row["r"] / row["T"] for row in rows) < 0.5 < max(row["r"] / row["T"] for row in rows)
 
 
 @pytest.mark.parametrize(
