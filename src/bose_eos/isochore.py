@@ -135,8 +135,10 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
     T_c(rho), and at T_c, r = 0; elsewhere r solves
     value = T^k lambda_T^-d A g_(d/sigma + k)(r / T). What depends only on the
     request is taken once: gas._transition's (T_c, natural value, A), ln of
-    that value, the unit factors and the conjugate's g at r = 0. Errors name
-    d, sigma, T and value.
+    that value, the unit factors and the conjugate's g at r = 0. The
+    conjugate's g_(d/sigma + 1 - k) comes from the solve's last Horner pass
+    where it summed one, for both constraints under one condition: that
+    (d/sigma + 1) - 1 rounds to d/sigma. Errors name d, sigma, T and value.
     """
     tc, target, a = _transition(spec, value, k)
     nu, energy = spec.d_over_sigma, _scales(spec)[0]
@@ -145,9 +147,10 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
     units = _unit_map(spec, 1 - k)  # the conjugate's
     order = nu + (1 - k)  # of the conjugate's g, which at r = 0 is zeta where that converges
     g_zero = zeta(order) if order > 1.0 else None
-    # the isobar's g_nu(r / T) may be its solve's last pass, order (nu + 1) - 1,
-    # bit for bit bose_g's g_nu where that rounds to nu; nu + 1 - k rounds differently
-    reuse = k and nu + 1.0 - 1.0 == nu
+    # the solve's last pass may have summed the conjugate's g: on an isobar
+    # the order (nu + 1) - 1, on an isochore nu + 1 beside (nu + 1) - 1 for
+    # its check; bit for bit bose_g's where (nu + 1) - 1 rounds to nu
+    reuse = nu + 1.0 - 1.0 == nu
     diverges = k and spec.d <= spec.sigma  # the r = 0 density
     states = []
     for T in temperatures:
@@ -170,7 +173,7 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
                 if log_target is None:  # raises value's DomainError, which gets the state below
                     _natural_constraint(spec, value, k)
                 failed = "gap solve failed"
-                r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T)
+                r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T, not k)
                 failed = "state"  # what fails from here on is the converged state's conjugate
             y = r_nat / T
             if y >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T

@@ -16,11 +16,17 @@ evaluators: the start never depends on what the cache held before. Where
 that start leaves the bracket (y* < 1e-3, say) Newton starts at its middle.
 Newton steps take the slope phi' = -g_(order-1) / g_order, with g_order from
 the same iterate, and fall back to bisection whenever a step leaves the
-bracket or the derivative order makes g_(order-1) blow up near r = 0. On the
-series route (y >= 0.5) one Horner pass gives an iterate both g_order and
-g_(order-1); below it each order's expansion sums its own cached
-coefficients, to the term count its reach table gives, so g_(order-1) is a
-second call, made only when a Newton step is taken.
+bracket or the derivative order makes g_(order-1) blow up near r = 0. The
+start is never returned as it is: one that already meets the stop takes a
+Newton step first. On the series route (y >= 0.5) one Horner pass gives an
+iterate both g_order and g_(order-1); below it each order's expansion sums
+its own cached coefficients, to the term count its reach table gives, so
+g_(order-1) is a second call, made only when a Newton step is taken. The
+solve returns the conjugate g its constraint's state needs where the pass
+that verified r summed it: an isobar's g_(order-1) from that pair, and an
+isochore's g_(order+1) from the pair of order + 1 that its series-route
+passes after the start take instead, whose second sum is g_order bit for
+bit where order + 1 - 1 rounds to order.
 """
 
 from __future__ import annotations
@@ -77,18 +83,25 @@ def _start_table(order: float) -> tuple:
     return tuple(node[0] for node in nodes), tuple(cubics)
 
 
-def solve_bose_equation(order: float, log_ratio: float, T: float) -> tuple[float, float | None]:
+def solve_bose_equation(
+    order: float, log_ratio: float, T: float, upper: bool = False
+) -> tuple[float, float | None]:
     """Solve ``ln g_order(r / T) + log_ratio = 0`` for the gap r > 0.
 
-    Returns (r, g_(order-1)(r / T)) where r is an iterate whose Horner pass
-    on the series route also summed g_(order-1), else (r, None).
+    Returns (r, g): g is g_(order-1)(r / T), or with ``upper``
+    g_(order+1)(r / T), where the series-route pass that verified r summed
+    it, else None. An isobar's density reuses the first, an isochore's
+    pressure the second. With ``upper`` and order + 1 - 1 == order in
+    doubles, a series-route pass after the start is the pair of order + 1,
+    whose second sum is g_order bit for bit.
 
     log_ratio is L = ln(prefactor / target), taken by the caller as a
     difference of logs, so it is finite also where the prefactor or the
     ratio leaves the doubles; a non-finite L is a ``DomainError``. Assumes
     the caller has already established that a positive root exists, i.e.
     prefactor * zeta(order) > target (the normal side of the transition).
-    The solve stops at |ln(prefactor g_order / target)| <= _LOG_TOL, which
+    The solve stops, never at the start itself, at
+    |ln(prefactor g_order / target)| <= _LOG_TOL, which
     holds the relative residual of the linear equation to about _LOG_TOL
     too, or once the bracket collapses; after _MAX_ITER iterates it raises
     ``ConvergenceError``. From L = CLASSICAL_Y on, the root is L itself and
@@ -114,15 +127,19 @@ def solve_bose_equation(order: float, log_ratio: float, T: float) -> tuple[float
             r = y0 * T
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
-    for _ in range(_MAX_ITER):
+    upper = upper and order + 1.0 - 1.0 == order
+    for i in range(_MAX_ITER):
         y = r / T
+        g_upper = None
         if 0.0 < y < SMALL_Y_SWITCH:
             g_order, g_lower = _bose_expansion(order, y).value, None
+        elif upper and i and y >= SMALL_Y_SWITCH:  # after the start: likely the last pass
+            (g_upper, g_order), g_lower = _bose_pair(order + 1.0, y), None
         else:  # the series route's pair, or bose_g's value where r / T underflows to 0
             g_order, g_lower = _bose_pair(order, y)
         phi = math.log(g_order) + log_ratio
-        if abs(phi) <= _LOG_TOL:
-            return r, g_lower
+        if abs(phi) <= _LOG_TOL and i:  # a start that meets the stop takes a Newton step first
+            return r, g_upper if upper else g_lower
         if phi > 0.0:
             lo = r
         else:
@@ -137,7 +154,12 @@ def solve_bose_equation(order: float, log_ratio: float, T: float) -> tuple[float
             slope = -g_lower / (T * g_order)
             if slope != 0.0:
                 newton = r - phi / slope
-        r = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)
+        # a start within the stop keeps its Newton value, within rounding of the
+        # root, also where that meets the bracket's end or the start itself
+        if newton is not None and (lo < newton < hi or not i and abs(phi) <= _LOG_TOL):
+            r = newton
+        else:
+            r = 0.5 * (lo + hi)
     raise ConvergenceError(
         f"root finder did not converge in {_MAX_ITER} iterations "
         f"(bracket [{lo:.3e}, {hi:.3e}])"

@@ -11,12 +11,15 @@ Two routes cover every real order:
 
 * y >= SMALL_Y_SWITCH (= 0.5): the series itself, by Horner's rule in
   z = e^-y (one exp per call), with a rigorous geometric tail bound and a
-  proven round-off bound. The powers n^-nu are cached per order as a
-  reversed Horner table, at most 81 entries for nu in (-1, 8], and a pass
-  of N terms takes its last N entries. The term count is the same for
-  every order >= 0, so the gap solver takes g_nu and its Newton slope
-  g_(nu-1) from one Horner pass with two accumulators (_bose_pair), over a
-  cached table of (n^-nu, n^-(nu-1)) pairs;
+  proven round-off bound. The powers n^-nu are cached per order as reversed
+  Horner tables, one per term count N up to the count at the switch (72
+  for nu >= 0, at most 81 for nu in (-1, 0)), so a pass of N terms takes
+  table N whole. For every order >= 0 the count depends on y alone and is
+  read from one cached table of the y at which it drops (_series_reach).
+  So the gap solver takes g_nu and its Newton slope g_(nu-1) from one
+  Horner pass with two accumulators (_bose_pair), over cached tables of
+  (n^-nu, n^-(nu-1)) pairs, and an isochore's last pass takes g_(nu+1) for
+  its pressure beside g_nu the same way;
 * y < SMALL_Y_SWITCH: the small-argument (Robinson) expansion
 
       g_nu(y) = Gamma(1 - nu) y^(nu - 1) + sum_{k >= 0} (-y)^k zeta(nu - k) / k!
@@ -49,7 +52,7 @@ import functools
 import itertools
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .errors import DivergentValue, DomainError, PoleError
@@ -60,10 +63,11 @@ _tuple_new = tuple.__new__  # builds an EvalResult without its Python-level __ne
 
 # Below this argument the small-argument expansion replaces the direct
 # series. At the switch the expansion sums 14 to 16 terms and the series
-# 72 to 81 (nu in (-1, 8]). Warm calls, nu uniform in (-1, 8]: on y in
-# [0.3, 0.5) the expansion takes 1.7-2.4 us and the series (over a table
-# built for its count) 5.9-8 us, on [0.5, 1) the series 6.0-6.3 us (2-vCPU
-# host, Python 3.11, one interleaved run). Moving the switch changes bits.
+# 72 to 81 (nu in (-1, 8]). Warm calls, nu uniform in (-1, 8], best of 20
+# rounds per y band of width 0.05 or 0.1: on y in [0.3, 0.5) the expansion
+# takes 1.2-1.3 us and the series (over a table built for its count)
+# 3.4-4.2 us, on [0.5, 1) the series 2.4-3.1 us (2-vCPU host, Python 3.11).
+# Moving the switch changes bits.
 SMALL_Y_SWITCH = 0.5
 
 # From this argument on g_nu(y) = e^-y to double precision for every order
@@ -243,24 +247,49 @@ def _horner_table(nu: float, n_terms: int, pair: bool) -> tuple:
         ) from None
 
 
+@functools.cache
+def _series_reach() -> tuple:
+    """(top, reach): for orders >= 0 a series pass at y takes top - bisect_right(reach, y) terms.
+
+    There _series_terms_needed is ceil(max(1, l(y) / y)) + 1 with
+    l(y) = -ln(1e-15 (1 - e^-y)), a count that depends on y alone: top at
+    y = SMALL_Y_SWITCH, falling by one where l(y) / y reaches each integer
+    m = top - 2 .. 1. reach holds those y, ascending, each the fixed point of
+    y = l(y) / m moved by ulps to the least double at which the count is at
+    most m + 1, so the table gives _series_terms_needed's count bit for bit.
+    Built on first use (70 entries, about 0.3 ms), never at import.
+    """
+
+    def count(y: float) -> int:
+        return _series_terms_needed(0.0, y, -math.expm1(-y))
+
+    top, reach = count(SMALL_Y_SWITCH), []
+    for m in range(top - 2, 0, -1):
+        y = SMALL_Y_SWITCH
+        for _ in range(64):  # contracts by 1 / (m (e^y - 1)) < 0.03 a round: 11 rounds at most
+            y, last = -math.log(1e-15 * -math.expm1(-y)) / m, y
+            if y == last:
+                break
+        while count(y) <= m + 1:
+            y = math.nextafter(y, 0.0)
+        while count(y) > m + 1:
+            y = math.nextafter(y, math.inf)
+        reach.append(y)
+    return top, tuple(reach)
+
+
 @functools.lru_cache(maxsize=512)
 def _series_powers(nu: float, pair: bool = False) -> tuple:
-    """_horner_table through the term count of the series route at y = SMALL_Y_SWITCH.
+    """The order's Horner tables per term count: entry n is _horner_table(nu, n, pair).
 
-    Larger y need no more terms, since the count falls as y grows: a pass of
-    n_terms takes the last n_terms entries, the same coefficients in the
-    same order as a table built for that count.
+    For n up to the count at y = SMALL_Y_SWITCH, which no larger y exceeds:
+    each step of _series_terms_needed is monotone in y, so the count falls as
+    y grows, in doubles too. Each entry is the last n of the longest, the
+    same coefficients in the same order, cut once so a pass need not slice.
     """
     n_terms = _series_terms_needed(nu, SMALL_Y_SWITCH, -math.expm1(-SMALL_Y_SWITCH))
-    return _horner_table(nu, n_terms, pair)
-
-
-def _series_powers_through(nu: float, n_terms: int, pair: bool = False) -> tuple:
-    """_horner_table(nu, n_terms, pair), from the cache where it reaches that far."""
-    table = _series_powers(nu, pair)
-    if n_terms > len(table):  # only if rounding breaks the fall of the count with y
-        return _horner_table(nu, n_terms, pair)
-    return table[-n_terms:]
+    table = _horner_table(nu, n_terms, pair)
+    return tuple(table[n_terms - n :] for n in range(n_terms + 1))
 
 
 def _bose_series(nu: float, y: float) -> EvalResult:
@@ -275,15 +304,19 @@ def _bose_series(nu: float, y: float) -> EvalResult:
     """
     z = math.exp(-y)
     one_minus = -math.expm1(-y)
-    n_terms = _series_terms_needed(nu, y, one_minus)
+    if nu >= 0.0:
+        top, reach = _series_reach()
+        n_terms = top - bisect_right(reach, y)
+    else:  # the n^|nu| growth makes the count depend on the order too
+        n_terms = _series_terms_needed(nu, y, one_minus)
     value = 0.0
-    for a in _series_powers_through(nu, n_terms):
+    for a in _series_powers(nu)[n_terms]:
         value = value * z + a
     value *= z
     n1 = n_terms + 1
     tail = math.exp(-n1 * y) / one_minus * max(1.0, n1 ** (-nu))
     mean_n = 1.0 / one_minus if nu >= 0.0 else n_terms
-    return EvalResult(value, tail + (2.0 * mean_n + 2.0) * _EPS * value + 1e-323, n_terms)
+    return _tuple_new(EvalResult, (value, tail + (2.0 * mean_n + 2.0) * _EPS * value + 1e-323, n_terms))
 
 
 def _tail_bound(nu: float, n: int) -> float:
@@ -444,17 +477,18 @@ def _bose_pair(nu: float, y: float) -> tuple:
 
     On the series route (y >= SMALL_Y_SWITCH) with nu >= 1 both sums come
     from one Horner pass with two accumulators over a cached table of
-    (n^-nu, n^-(nu-1)) pairs: for orders >= 0 the term count does not depend
-    on the order, so each sum is bit for bit _bose_series'. Elsewhere a caller
+    (n^-nu, n^-(nu-1)) pairs, cut to the count _series_reach gives: for
+    orders >= 0 that count does not depend on the order, so each sum is bit
+    for bit _bose_series'. Elsewhere a caller
     that needs g_(nu-1) takes it from _bose_any_order: each order's
     expansion has its own coefficients and reach table.
     """
     if y < SMALL_Y_SWITCH or nu < 1.0:
         return bose_g(nu, y).value, None
     z = math.exp(-y)
-    n_terms = _series_terms_needed(nu, y, -math.expm1(-y))
+    top, reach = _series_reach()
     value = value_lower = 0.0
-    for a, b in _series_powers_through(nu, n_terms, pair=True):
+    for a, b in _series_powers(nu, True)[top - bisect_right(reach, y)]:
         value = value * z + a
         value_lower = value_lower * z + b
     return value * z, value_lower * z

@@ -1,11 +1,13 @@
 """Constant-density solvers: T_c(rho), gap inversion, condensate, potentials."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import bose_eos.isochore
+import bose_eos.rootfind
 from bose_eos import (
     CRITICAL_WINDOW,
     ConvergenceError,
@@ -13,6 +15,7 @@ from bose_eos import (
     GasSpec,
     PoleError,
     ZeroTemperatureBEC,
+    bose_g,
     condensate_fraction,
     critical_temperature_density,
     density_at,
@@ -24,6 +27,7 @@ from bose_eos import (
     zeta,
 )
 from bose_eos.gas import _scales
+from bose_eos.special import SMALL_Y_SWITCH
 
 SPEC32 = GasSpec(d=3.0, sigma=2.0)
 
@@ -96,6 +100,52 @@ def test_integer_order_solver_route():
     tc = critical_temperature_density(spec, rho)
     pt = solve_gap_isochore(spec, 1.2 * tc, rho)
     assert density_at(spec, 1.2 * tc, pt.r) == pytest.approx(rho, rel=1e-10)
+
+
+def test_isochore_pressure_comes_from_the_pass_that_verifies_the_gap(monkeypatch):
+    # Where (nu + 1) - 1 rounds to nu, the series-route passes after the
+    # start are pairs of order nu + 1: the second sum is g_nu for the check,
+    # its first the pressure's g_(nu+1), bit for bit a separate bose_g pass,
+    # so the state makes no call of its own. nu = 2.6 / 2 = 1.3 rounds
+    # differently and keeps the separate call.
+    rng = random.Random(30)
+    specs = [GasSpec(d=2.6, sigma=2.0)]
+    while len(specs) < 8:
+        d, sigma = rng.uniform(1.2, 8.0), rng.uniform(0.5, 2.0)
+        if d > 1.1 * sigma and d / sigma + 1.0 - 1.0 == d / sigma:
+            specs.append(GasSpec(d=d, sigma=sigma))
+    solve, pair = bose_eos.isochore.solve_bose_equation, bose_eos.rootfind._bose_pair
+    calls, pair_orders, rows = [], [], []
+
+    def spy(order, y):
+        calls.append(order)
+        return bose_g(order, y)
+
+    def pair_spy(order, y):
+        pair_orders.append(order)
+        return pair(order, y)
+
+    for spec in specs:
+        nu = spec.d_over_sigma
+        tc = critical_temperature_density(spec, 1.0)
+        for T in (tc * 10.0 ** rng.uniform(0.5, 2.0) for _ in range(12)):
+            with monkeypatch.context() as patch:
+                patch.setattr(bose_eos.isochore, "bose_g", spy)
+                patch.setattr(bose_eos.rootfind, "_bose_pair", pair_spy)
+                del calls[:], pair_orders[:]
+                pt = solve_gap_isochore(spec, T, 1.0)
+            with monkeypatch.context() as patch:  # order nu passes alone, the pressure summed anew
+                patch.setattr(
+                    bose_eos.isochore, "solve_bose_equation", lambda *a: (solve(*a[:3])[0], None)
+                )
+                separate = solve_gap_isochore(spec, T, 1.0)
+            assert pt.regime == "normal" and pt == separate, (spec, T)
+            if pt.r / T >= SMALL_Y_SWITCH:
+                reuse = nu + 1.0 - 1.0 == nu
+                assert calls == ([] if reuse else [nu + 1.0]), (spec, T, calls)
+                assert (nu + 1.0 in pair_orders) == reuse, (spec, T, pair_orders)
+                rows.append(spec)
+    assert len(rows) >= 80 and rows.count(specs[0]) == 12, len(rows)
 
 
 def test_gap_monotone_in_temperature():

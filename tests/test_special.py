@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bose_eos.special
 from bose_eos import (
     DivergentValue,
     DomainError,
@@ -29,6 +28,7 @@ from bose_eos.special import (
     _bose_series,
     _expansion_constants,
     _series_powers,
+    _series_reach,
     _series_terms_needed,
 )
 
@@ -151,10 +151,15 @@ def test_small_y_expansion_consistency_grid():
             assert abs(res.value - ref) <= res.est_error + 1e-12, (nu, y)
 
 
+def _series_max_terms(nu):
+    """The series route's a-priori count at the switch: its longest cached table."""
+    return len(_series_powers(nu)[-1])
+
+
 def _route_max_terms(nu, y):
     """Terms a call may spend: the expansion's cached coefficients below the switch,
     the series' a-priori count at the switch (its cached powers) from there up."""
-    return len(_expansion_constants(nu)[0]) if y < SMALL_Y_SWITCH else len(_series_powers(nu))
+    return len(_expansion_constants(nu)[0]) if y < SMALL_Y_SWITCH else _series_max_terms(nu)
 
 
 def test_small_y_expansion_against_mpmath():
@@ -199,7 +204,7 @@ def test_series_route_against_mpmath():
             res = _bose_any_order(nu, y)
             ref = float(mpmath.polylog(nu, mpmath.exp(-mpmath.mpf(y))))
             assert abs(res.value - ref) <= res.est_error, (nu, y, res)
-            assert res.terms_used <= len(_series_powers(nu)), (nu, y, res)
+            assert res.terms_used <= _series_max_terms(nu), (nu, y, res)
             if nu > 0.0:
                 assert res.est_error <= 1e-13 * abs(ref), (nu, y, res)
 
@@ -233,9 +238,11 @@ def test_both_sides_of_the_switch_against_mpmath():
     y=st.floats(min_value=SMALL_Y_SWITCH, max_value=750.0),
 )
 def test_series_term_count_fits_the_cached_powers(nu, y):
-    # The count falls as y grows, so the powers sized at the switch serve every
-    # series call and none rebuilds them.
-    assert _series_terms_needed(nu, y, -math.expm1(-y)) <= len(_series_powers(nu))
+    # The count falls as y grows, so the tables sized at the switch serve every
+    # series call: there is one per count up to the count at the switch.
+    tables = _series_powers(nu)
+    assert _series_terms_needed(nu, y, -math.expm1(-y)) < len(tables)
+    assert [len(table) for table in tables] == list(range(len(tables)))
 
 
 @pytest.mark.parametrize(
@@ -258,17 +265,8 @@ def _plain_horner(nu, y):
     return value * z, n_terms
 
 
-@pytest.mark.parametrize("short_table", [False, True])
-def test_series_route_equals_a_plain_horner_bit_for_bit(monkeypatch, short_table):
-    # the cached reversed tables hold the same coefficients in the same order;
-    # a table shorter than the count takes the path that builds it afresh
-    if short_table:
-        cached = bose_eos.special._series_powers
-
-        def short(nu, pair=False):  # the entries of n = 3, 2, 1
-            return cached(nu, pair)[-3:]
-
-        monkeypatch.setattr(bose_eos.special, "_series_powers", short)
+def test_series_route_equals_a_plain_horner_bit_for_bit():
+    # the cached per-count tables hold the same coefficients in the same order
     for nu in (-0.9, 0.0, 0.5, 1.5, 2.47, 8.0):
         for y in (0.5, 0.7, 1.0, 3.0, 36.9, 700.0):
             value, n_terms = _plain_horner(nu, y)
@@ -276,6 +274,28 @@ def test_series_route_equals_a_plain_horner_bit_for_bit(monkeypatch, short_table
             assert (res.value, res.terms_used) == (value, n_terms), (nu, y)
             if nu >= 1.0:
                 assert _bose_pair(nu, y) == (value, _plain_horner(nu - 1.0, y)[0]), (nu, y)
+
+
+def test_series_count_table_gives_the_count_it_replaces():
+    # For orders >= 0 a pass looks its count up in the reach table; at every
+    # threshold, 64 ulps either side of it and seeded y in [0.5, 750] it must
+    # be _series_terms_needed's, for integer, fractional and slope orders.
+    top, reach = _series_reach()
+    assert top == _series_terms_needed(0.0, SMALL_Y_SWITCH, -math.expm1(-SMALL_Y_SWITCH))
+    assert len(reach) == top - 2 and list(reach) == sorted(set(reach))
+    ys = [SMALL_Y_SWITCH]
+    for edge in reach:
+        y = edge
+        for _ in range(64):
+            y = math.nextafter(y, 0.0)
+        for _ in range(129):
+            ys.append(y)
+            y = math.nextafter(y, math.inf)
+    rng = random.Random(29)
+    ys += [math.exp(rng.uniform(math.log(SMALL_Y_SWITCH), math.log(750.0))) for _ in range(2000)]
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.47, 3.0, 8.0):
+        for y in ys:
+            assert _bose_series(nu, y).terms_used == _series_terms_needed(nu, y, -math.expm1(-y)), (nu, y)
 
 
 def _robinson_coefficients(mpmath, nu, n_terms=60):
@@ -462,7 +482,7 @@ def test_small_y_switch_edges_agree():
         below = bose_g(nu, np.nextafter(SMALL_Y_SWITCH, 0.0))
         above = bose_g(nu, SMALL_Y_SWITCH)
         assert abs(below.value - above.value) <= below.est_error + above.est_error + 1e-15
-        assert below.terms_used <= 30 < above.terms_used <= len(_series_powers(nu))
+        assert below.terms_used <= 30 < above.terms_used <= _series_max_terms(nu)
 
 
 def test_eval_result_is_a_named_tuple():
