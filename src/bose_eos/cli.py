@@ -35,32 +35,27 @@ EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
 _LANDAU_COLUMNS = ("t", "C_f", "psi2", "f_ordered", "f_disordered", "mu_asym")
-# The choices of a flag, which hold for its config-file setting too.
-_CHOICES = {
-    "units": ("natural", "si"),
-    "spacing": ("linear", "log"),
-    "format": ("csv", "json"),
-    "level": ("quick", "full"),  # verify.LEVELS, which the parser reads without the suite
-}
 
-# Settings accepted in config files, with their parsers.
-_CONFIG_PARSERS = {
-    "d": float,
-    "sigma": float,
-    "mass": float,
-    "units": str,
-    "density": float,
-    "pressure": float,
-    "tmin": float,
-    "tmax": float,
-    "points": int,
-    "spacing": str,
-    "columns": str,
-    "format": str,
-    "output": str,
-    "t": str,
-    "level": str,
+# Every setting, as a flag and as a config-file key: (type, choices, help).
+_SETTINGS = {
+    "d": (float, None, "spatial dimension (real, > 0)"),
+    "sigma": (float, None, "dispersion exponent (0, 2]"),
+    "mass": (float, None, "particle mass (default 1)"),
+    "units": (str, ("natural", "si"), "unit system"),
+    "density": (float, None, "number density (> 0)"),
+    "pressure": (float, None, "pressure (> 0)"),
+    "tmin": (float, None, "lowest temperature"),
+    "tmax": (float, None, "highest temperature"),
+    "points": (int, None, "grid size (default 50)"),
+    "spacing": (str, ("linear", "log"), "grid spacing"),
+    "columns": (str, None, f"comma-separated subset of {','.join(COLUMNS)}"),
+    "format": (str, ("csv", "json"), "output format"),
+    "output": (str, None, "write to file instead of stdout"),
+    "t": (str, None, "comma-separated reduced temperatures"),
+    # verify.LEVELS, which the parser reads without the suite
+    "level": (str, ("quick", "full"), "quick (default) or full"),
 }
+_GAS_SETTINGS = ("d", "sigma", "mass", "units")  # every subcommand's, after --config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,46 +72,12 @@ def _build_parser() -> _Parser:
         "dispersion eps(k) = hbar^2 k^sigma / 2m in d dimensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value settings file")
-    common.add_argument("--d", type=float, help="spatial dimension (real, > 0)")
-    common.add_argument("--sigma", type=float, help="dispersion exponent (0, 2]")
-    common.add_argument("--mass", type=float, help="particle mass (default 1)")
-    common.add_argument("--units", choices=_CHOICES["units"], help="unit system")
-
-    tc = sub.add_parser(
-        "tc", parents=[common], help="critical temperature at fixed density or pressure"
-    )
-    tc.add_argument("--density", type=float, help="number density (> 0)")
-    tc.add_argument("--pressure", type=float, help="pressure (> 0)")
-
-    sweep = sub.add_parser(
-        "sweep", parents=[common], help="temperature sweep along an isochore or isobar"
-    )
-    sweep.add_argument("--density", type=float, help="number density (> 0)")
-    sweep.add_argument("--pressure", type=float, help="pressure (> 0)")
-    sweep.add_argument("--tmin", type=float, help="lowest temperature")
-    sweep.add_argument("--tmax", type=float, help="highest temperature")
-    sweep.add_argument("--points", type=int, help="grid size (default 50)")
-    sweep.add_argument("--spacing", choices=_CHOICES["spacing"], help="grid spacing")
-    sweep.add_argument("--columns", help=f"comma-separated subset of {','.join(COLUMNS)}")
-    sweep.add_argument("--format", choices=_CHOICES["format"], help="output format")
-    sweep.add_argument("--output", help="write to file instead of stdout")
-
-    landau = sub.add_parser(
-        "landau", parents=[common], help="effective free-energy table over reduced temperatures"
-    )
-    landau.add_argument("--density", type=float, help="number density (> 0)")
-    landau.add_argument("--t", help="comma-separated reduced temperatures")
-    landau.add_argument("--format", choices=_CHOICES["format"], help="output format")
-    landau.add_argument("--output", help="write to file instead of stdout")
-
-    verify = sub.add_parser(
-        "verify", parents=[common], help="run the cross-module verification suite"
-    )
-    verify.add_argument("--level", choices=_CHOICES["level"], help="quick (default) or full")
-
+    for command, (_, summary, own) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        cmd.add_argument("--config", help="flat key = value settings file")
+        for key in _GAS_SETTINGS + own:
+            kind, choices, help_text = _SETTINGS[key]
+            cmd.add_argument(f"--{key}", type=kind, choices=choices, help=help_text)
     return parser
 
 
@@ -135,18 +96,19 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        kind, choices, _ = _SETTINGS[key]
         try:
-            settings[key] = _CONFIG_PARSERS[key](value)
+            settings[key] = kind(value)
         except ValueError:
             raise ConfigError(
                 f"{path}:{lineno}: bad value {value!r} for {key!r}"
             ) from None
-        if key in _CHOICES and settings[key] not in _CHOICES[key]:
+        if choices and settings[key] not in choices:
             raise ConfigError(
                 f"{path}:{lineno}: invalid choice {value!r} for {key!r} "
-                f"(choose from {', '.join(_CHOICES[key])})"
+                f"(choose from {', '.join(choices)})"
             )
     return settings
 
@@ -299,28 +261,34 @@ def _cmd_verify(args, config: dict) -> int:
     return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
 
 
-_DISPATCH = {
-    "tc": _cmd_tc,
-    "sweep": _cmd_sweep,
-    "landau": _cmd_landau,
-    "verify": _cmd_verify,
+# Each subcommand's handler, help and own settings, which follow the gas's.
+_COMMANDS = {
+    "tc": (_cmd_tc, "critical temperature at fixed density or pressure", ("density", "pressure")),
+    "sweep": (
+        _cmd_sweep,
+        "temperature sweep along an isochore or isobar",
+        ("density", "pressure", "tmin", "tmax", "points", "spacing", "columns", "format", "output"),
+    ),
+    "landau": (
+        _cmd_landau,
+        "effective free-energy table over reduced temperatures",
+        ("density", "t", "format", "output"),
+    ),
+    "verify": (_cmd_verify, "run the cross-module verification suite", ("level",)),
 }
+
+# Any other BoseEosError is a domain error.
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, ConvergenceError: EXIT_CONVERGENCE}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _load_config(args.config) if args.config else {}
-        return _DISPATCH[args.command](args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        return _COMMANDS[args.command][0](args, config)
     except BoseEosError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _EXIT_CODES.get(type(exc), EXIT_DOMAIN)
 
 
 if __name__ == "__main__":

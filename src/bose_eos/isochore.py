@@ -137,8 +137,8 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
     request is taken once: gas._transition's (T_c, natural value, A), ln of
     that value, the unit factors and the conjugate's g at r = 0. The
     conjugate's g_(d/sigma + 1 - k) comes from the solve's last Horner pass
-    where it summed one, for both constraints under one condition: that
-    (d/sigma + 1) - 1 rounds to d/sigma. Errors name d, sigma, T and value.
+    where that pass summed its order, which the solve is given and decides.
+    Errors name d, sigma, T and value.
     """
     tc, target, a = _transition(spec, value, k)
     nu, energy = spec.d_over_sigma, _scales(spec)[0]
@@ -146,12 +146,7 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
     log_target = None if target is None else math.log(target)
     units = _unit_map(spec, 1 - k)  # the conjugate's
     order = nu + (1 - k)  # of the conjugate's g, which at r = 0 is zeta where that converges
-    g_zero = zeta(order) if order > 1.0 else None
-    # the solve's last pass may have summed the conjugate's g: on an isobar
-    # the order (nu + 1) - 1, on an isochore nu + 1 beside (nu + 1) - 1 for
-    # its check; bit for bit bose_g's where (nu + 1) - 1 rounds to nu
-    reuse = nu + 1.0 - 1.0 == nu
-    diverges = k and spec.d <= spec.sigma  # the r = 0 density
+    g_zero = zeta(order) if order > 1.0 else None  # None: an isobar's r = 0 density diverges
     states = []
     for T in temperatures:
         t = (T - tc) / tc
@@ -173,18 +168,18 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
                 if log_target is None:  # raises value's DomainError, which gets the state below
                     _natural_constraint(spec, value, k)
                 failed = "gap solve failed"
-                r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T, not k)
+                r_nat, g = solve_bose_equation(nu + k, log_pref - log_target, T, order)
                 failed = "state"  # what fails from here on is the converged state's conjugate
             y = r_nat / T
             if y >= CLASSICAL_Y:  # g_(nu+1) = g_nu to double precision: P = rho k_B T
                 conjugate = value / (T * energy) if k else T * value * energy
             elif pref == math.inf:  # the conjugate below needs it
                 raise DomainError(f"lambda_T^-d A = {pref!r} is outside the double range")
-            elif diverges and not solve:
+            elif g_zero is None and not solve:
                 states.append((T, t, 0.0, psi2, math.inf, regime))
                 continue
             else:
-                if not (reuse and g is not None):
+                if g is None:
                     g = bose_g(order, y).value if y or g_zero is None else g_zero
                 conjugate = _convert(units, (pref if k else T * pref) * g, False)
         except (ConvergenceError, DomainError) as exc:

@@ -22,11 +22,11 @@ Newton step first. On the series route (y >= 0.5) one Horner pass gives an
 iterate both g_order and g_(order-1); below it each order's expansion sums
 its own cached coefficients, to the term count its reach table gives, so
 g_(order-1) is a second call, made only when a Newton step is taken. The
-solve returns the conjugate g its constraint's state needs where the pass
-that verified r summed it: an isobar's g_(order-1) from that pair, and an
-isochore's g_(order+1) from the pair of order + 1 that its series-route
-passes after the start take instead, whose second sum is g_order bit for
-bit where order + 1 - 1 rounds to order.
+caller names the order of the conjugate g its state needs, and the solve
+returns that g where the pass that verified r summed exactly that order: an
+isobar's g_(order-1) from that pair, and an isochore's g_(order+1) from the
+pair of order + 1 that its series-route passes after the start take instead
+where (order + 1) - 1 rounds to order, so that their second sum is g_order.
 """
 
 from __future__ import annotations
@@ -84,16 +84,15 @@ def _start_table(order: float) -> tuple:
 
 
 def solve_bose_equation(
-    order: float, log_ratio: float, T: float, upper: bool = False
+    order: float, log_ratio: float, T: float, conjugate: float | None = None
 ) -> tuple[float, float | None]:
     """Solve ``ln g_order(r / T) + log_ratio = 0`` for the gap r > 0.
 
-    Returns (r, g): g is g_(order-1)(r / T), or with ``upper``
-    g_(order+1)(r / T), where the series-route pass that verified r summed
-    it, else None. An isobar's density reuses the first, an isochore's
-    pressure the second. With ``upper`` and order + 1 - 1 == order in
-    doubles, a series-route pass after the start is the pair of order + 1,
-    whose second sum is g_order bit for bit.
+    Returns (r, g): g is g_conjugate(r / T) where the series-route pass that
+    verified r summed exactly the order ``conjugate``, else None. An isobar
+    passes order - 1 for its density, an isochore order + 1 for its pressure;
+    where conjugate - 1 == order in doubles, a series-route pass after the
+    start is the pair of order conjugate, whose second sum is g_order.
 
     log_ratio is L = ln(prefactor / target), taken by the caller as a
     difference of logs, so it is finite also where the prefactor or the
@@ -127,19 +126,19 @@ def solve_bose_equation(
             r = y0 * T
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
-    upper = upper and order + 1.0 - 1.0 == order
+    upper = conjugate is not None and conjugate - 1.0 == order
     for i in range(_MAX_ITER):
         y = r / T
-        g_upper = None
         if 0.0 < y < SMALL_Y_SWITCH:
-            g_order, g_lower = _bose_expansion(order, y).value, None
+            g_order, g_lower, g = _bose_expansion(order, y).value, None, None
         elif upper and i and y >= SMALL_Y_SWITCH:  # after the start: likely the last pass
-            (g_upper, g_order), g_lower = _bose_pair(order + 1.0, y), None
+            (g, g_order), g_lower = _bose_pair(conjugate, y), None
         else:  # the series route's pair, or bose_g's value where r / T underflows to 0
             g_order, g_lower = _bose_pair(order, y)
+            g = g_lower if order - 1.0 == conjugate else None
         phi = math.log(g_order) + log_ratio
         if abs(phi) <= _LOG_TOL and i:  # a start that meets the stop takes a Newton step first
-            return r, g_upper if upper else g_lower
+            return r, g
         if phi > 0.0:
             lo = r
         else:
