@@ -94,6 +94,9 @@ def landau_model(spec: GasSpec, rho: float, t: float) -> LandauModel:
 
         C_f = (d/sigma - 1) [zeta(d/sigma) / |Gamma(1 - d/sigma)|]^(sigma/(d-sigma))
               * k_B T_c * rho.
+
+    t must be finite and above -1, where T = T_c (1 + t) > 0; otherwise
+    DomainError.
     """
     if not (spec.sigma < spec.d < 2.0 * spec.sigma):
         raise UnsupportedRegime(
@@ -102,6 +105,8 @@ def landau_model(spec: GasSpec, rho: float, t: float) -> LandauModel:
         )
     nu = spec.d_over_sigma
     tc = critical_temperature_density(spec, rho)
+    if not -1.0 < t < math.inf:
+        raise DomainError(f"reduced temperature must be finite and > -1 (T > 0), got t={t!r}")
     energy, _ = _scales(spec)
     mu_coeff = (zeta(nu) / abs(gamma(1.0 - nu))) ** (1.0 / (nu - 1.0))
     cf_nat = (nu - 1.0) * mu_coeff * tc * _natural_constraint(spec, rho, 0)

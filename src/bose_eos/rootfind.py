@@ -153,9 +153,9 @@ def solve_bose_equation(
             slope = -g_lower / (T * g_order)
             if slope != 0.0:
                 newton = r - phi / slope
-        # a start within the stop keeps its Newton value, within rounding of the
-        # root, also where that meets the bracket's end or the start itself
-        if newton is not None and (lo < newton < hi or not i and abs(phi) <= _LOG_TOL):
+        # a Newton value on the bracket's end is kept: at large y the bracket is a
+        # few ulps wide, the root next to its lower end
+        if newton is not None and lo <= newton <= hi:
             r = newton
         else:
             r = 0.5 * (lo + hi)

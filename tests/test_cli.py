@@ -272,6 +272,11 @@ def test_malformed_config_line_reports_location(tmp_path):
 
 SWEEP_ARGS = ["--d", "3", "--sigma", "2", "--density", "1", "--tmin", "4", "--tmax", "5",
               "--points", "2"]
+# Every setting with a type that can reject a value, and one value it rejects.
+TYPED_SETTINGS = {key: "float" for key in ("d", "sigma", "mass", "density", "pressure", "tmin", "tmax")}
+TYPED_SETTINGS["points"] = "int"
+TYPE_REJECTS = (("d", "three"), ("sigma", "2,0"), ("mass", "1e"), ("density", "x"), ("pressure", "-"),
+                ("tmin", "4K"), ("tmax", "five"), ("points", "2.5"))
 
 
 @pytest.mark.parametrize(
@@ -282,18 +287,25 @@ SWEEP_ARGS = ["--d", "3", "--sigma", "2", "--density", "1", "--tmin", "4", "--tm
         (["tc", "--d", "3", "--sigma", "2", "--density", "1"], "units", "kelvin"),
         (["sweep", *SWEEP_ARGS], "spacing", "quadratic"),
         (["verify"], "level", "deep"),
+        *((["sweep", *SWEEP_ARGS], key, value) for key, value in TYPE_REJECTS),
     ],
 )
 def test_config_settings_take_the_flags_choices(tmp_path, capsys, command, key, value):
     # from a config file, format = xml once wrote JSON and exited 0, and a bad
-    # units, spacing or level exited 2; the same value as a flag exits 4
+    # units, spacing or level exited 2; the same value as a flag exits 4, as
+    # does a value that the setting's type rejects
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# settings\n{key} = {value}\n")
     assert bose_eos.cli.main([*command, "--config", str(cfg)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}:2: invalid choice {value!r} for {key!r} (choose from ")
+    kind = TYPED_SETTINGS.get(key)
+    if kind:
+        assert err == f"error: {cfg}:2: bad value {value!r} for {key!r}\n"
+    else:
+        assert err.startswith(f"error: {cfg}:2: invalid choice {value!r} for {key!r} (choose from ")
     assert bose_eos.cli.main([*command, f"--{key}", value]) == 4
-    assert "invalid choice" in capsys.readouterr().err
+    flag_err = capsys.readouterr().err
+    assert f"invalid {kind} value: {value!r}" in flag_err if kind else "invalid choice" in flag_err
 
 
 def test_config_settings_inside_the_choices_are_taken(tmp_path, capsys):
@@ -328,6 +340,14 @@ def test_domain_failures_exit_code_two():
     assert "error:" in proc.stderr
     proc = run_cli("tc", "--d", "3", "--sigma", "2", "--density", "-1")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("t", ["nan", "-2"])
+def test_landau_outside_t_above_minus_one_exits_two(capsys, t):
+    # once a row of nan, or psi2 = 3 from a negative thermal energy, and exit 0
+    assert bose_eos.cli.main(["landau", "--d", "3", "--sigma", "2", "--density", "1", f"--t={t}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: reduced temperature must be finite and > -1")
 
 
 def test_sweep_past_the_double_range_exits_two(capsys):

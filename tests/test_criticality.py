@@ -35,6 +35,13 @@ def test_window_rejected_outside_sigma_d_2sigma(d, sigma):
         landau_model(GasSpec(d=d, sigma=sigma), rho=1.0, t=0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -2.0])
+def test_temperature_outside_t_above_minus_one_rejected(t):
+    # once accepted: t = nan gave a row of nan and t = -2 a negative thermal energy
+    with pytest.raises(DomainError, match="reduced temperature"):
+        landau_model(SPEC32, rho=1.0, t=t)
+
+
 def test_coefficient_against_independent_special_functions():
     # rebuild C_f with the Dirichlet-sum zeta and the stdlib Gamma through
     # the reflection formula, independent of the package's zeta and Gamma

@@ -190,10 +190,10 @@ def test_roots_from_y_15_on_against_mpmath():
     # From y* ~ 15 on the table start often meets the stop already; it then
     # takes one Newton step instead of being returned as it is. Seeded orders
     # (2 .. 8 and 33 in (1, 8]) and y* log-uniform in [15, 37), L from the
-    # series route. Measured: median 4.0e-17, one case of 320 above 1e-15, at
-    # 3.4e-15, where a Newton value falls on the bracket's lower end and a
-    # bisection step meets the stop; returning such starts as they were gave
-    # 21 above 1e-15 and 6.1e-15 at worst.
+    # series route. Measured: median 4.0e-17, worst 4.6e-16. Where a Newton
+    # value that falls on the bracket's end was refused, a bisection step met
+    # the stop instead, 3.4e-15 off; returning such starts as they were gave
+    # 21 cases above 1e-15 and 6.1e-15 at worst.
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(31)
     orders = [float(n) for n in range(2, 9)] + [rng.uniform(1.0, 8.0) for _ in range(33)]
@@ -207,8 +207,7 @@ def test_roots_from_y_15_on_against_mpmath():
             exact = mpmath.findroot(phi, mpmath.mpf(r), tol=mpmath.mpf(10) ** -36)
             errors.append(abs(float(r / exact - 1)))
     errors.sort()
-    assert errors[len(errors) // 2] <= 1e-16 and errors[-1] <= 4e-15, errors[-3:]
-    assert sum(error > 1e-15 for error in errors) <= 2, errors[-3:]
+    assert errors[len(errors) // 2] <= 5e-17 and errors[-1] <= 5e-16, errors[-3:]
 
 
 @pytest.mark.parametrize(
