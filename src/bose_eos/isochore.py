@@ -136,9 +136,9 @@ def _states(spec: GasSpec, value: float, k: int, temperatures) -> tuple[float, l
     value = T^k lambda_T^-d A g_(d/sigma + k)(r / T). What depends only on the
     request is taken once: gas._transition's (T_c, natural value, A), ln of
     that value, the unit factors and the conjugate's g at r = 0. The
-    conjugate's g_(d/sigma + 1 - k) comes from the solve's last Horner pass
-    where that pass summed its order, which the solve is given and decides.
-    Errors name d, sigma, T and value.
+    conjugate's g_(d/sigma + 1 - k) comes from the solve, which is given its
+    order and returns it where the pass that verified r summed exactly that
+    order. Errors name d, sigma, T and value.
     """
     tc, target, a = _transition(spec, value, k)
     nu, energy = spec.d_over_sigma, _scales(spec)[0]

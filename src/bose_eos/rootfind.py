@@ -126,19 +126,22 @@ def solve_bose_equation(
             r = y0 * T
     # Divergent Newton slope at r -> 0 when the derivative order is <= 1.
     floor = _NEWTON_FLOOR_Y * T if order - 1.0 <= 1.0 else 0.0
+    # which sum of a pass is the conjugate's g: the first of the pair of order
+    # conjugate, or the second of the pair of order `order`
     upper = conjugate is not None and conjugate - 1.0 == order
+    lower = order - 1.0 == conjugate
     for i in range(_MAX_ITER):
         y = r / T
+        g_upper = None
         if 0.0 < y < SMALL_Y_SWITCH:
-            g_order, g_lower, g = _bose_expansion(order, y).value, None, None
+            g_order, g_lower = _bose_expansion(order, y).value, None
         elif upper and i and y >= SMALL_Y_SWITCH:  # after the start: likely the last pass
-            (g, g_order), g_lower = _bose_pair(conjugate, y), None
+            (g_upper, g_order), g_lower = _bose_pair(conjugate, y), None
         else:  # the series route's pair, or bose_g's value where r / T underflows to 0
             g_order, g_lower = _bose_pair(order, y)
-            g = g_lower if order - 1.0 == conjugate else None
         phi = math.log(g_order) + log_ratio
         if abs(phi) <= _LOG_TOL and i:  # a start that meets the stop takes a Newton step first
-            return r, g
+            return r, g_upper if upper else g_lower if lower else None
         if phi > 0.0:
             lo = r
         else:

@@ -273,7 +273,7 @@ def test_malformed_config_line_reports_location(tmp_path):
 SWEEP_ARGS = ["--d", "3", "--sigma", "2", "--density", "1", "--tmin", "4", "--tmax", "5",
               "--points", "2"]
 # Every setting with a type that can reject a value, and one value it rejects.
-TYPED_SETTINGS = {key: "float" for key in ("d", "sigma", "mass", "density", "pressure", "tmin", "tmax")}
+TYPED_SETTINGS = dict.fromkeys(("d", "sigma", "mass", "density", "pressure", "tmin", "tmax"), "float")
 TYPED_SETTINGS["points"] = "int"
 TYPE_REJECTS = (("d", "three"), ("sigma", "2,0"), ("mass", "1e"), ("density", "x"), ("pressure", "-"),
                 ("tmin", "4K"), ("tmax", "five"), ("points", "2.5"))
@@ -304,8 +304,7 @@ def test_config_settings_take_the_flags_choices(tmp_path, capsys, command, key, 
     else:
         assert err.startswith(f"error: {cfg}:2: invalid choice {value!r} for {key!r} (choose from ")
     assert bose_eos.cli.main([*command, f"--{key}", value]) == 4
-    flag_err = capsys.readouterr().err
-    assert f"invalid {kind} value: {value!r}" in flag_err if kind else "invalid choice" in flag_err
+    assert (f"invalid {kind} value: {value!r}" if kind else "invalid choice") in capsys.readouterr().err
 
 
 def test_config_settings_inside_the_choices_are_taken(tmp_path, capsys):
