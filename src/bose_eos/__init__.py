@@ -20,12 +20,11 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("criticality", "FIT_POINTS FIT_WINDOW CorrelationQuantities ExponentSet FitResult "
-         "LandauModel chemical_potential_asymptotic correlation_quantities equation_of_state "
-         "extract_exponents fit_exponent landau_free_energy landau_model "
-         "landau_taylor_coefficients loglog_slope"),
+        ("criticality", "CorrelationQuantities ExponentSet FitResult LandauModel "
+         "chemical_potential_asymptotic correlation_quantities equation_of_state "
+         "extract_exponents landau_free_energy landau_model landau_taylor_coefficients"),
         ("errors", "BoseEosError BranchError CondensedRegion ConfigError ConvergenceError "
-         "DivergentValue DomainError FitError PoleError UnsupportedRegime ZeroTemperatureBEC"),
+         "DivergentValue DomainError PoleError UnsupportedRegime ZeroTemperatureBEC"),
         ("gas", "GasSpec dispersion dispersion_coefficient lambda0 prefactor_A "
          "thermal_wavelength"),
         ("isobar", "IsobarPoint coexistence_consistency critical_temperature_pressure "

@@ -3,9 +3,10 @@ and the self-verification suite.
 
 stdout carries data (JSON or CSV), stderr carries diagnostics. Exit codes:
 0 success, 1 verification-check failure, 2 domain error, 3 convergence
-error, 4 configuration error. Settings may come from a flat `key = value`
-config file; explicit flags win on conflict. All numeric I/O is in natural
-units (hbar = k_B = 1) unless --units si is given.
+error, 4 configuration error (flags, config file, an unwritable --output).
+Settings may come from a flat `key = value` config file holding the
+subcommand's own flags; explicit flags win on conflict. All numeric I/O is
+in natural units (hbar = k_B = 1) unless --units si is given.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
+    """Settings from a flat `key = value` file; each key must be one of `command`'s flags."""
+    scope = _GAS_SETTINGS + _COMMANDS[command][2]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -98,6 +101,8 @@ def _load_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key not in scope:
+            raise ConfigError(f"{path}:{lineno}: {command} has no setting {key!r}")
         kind, choices, _ = _SETTINGS[key]
         try:
             settings[key] = kind(value)
@@ -147,9 +152,12 @@ def _constraint(args, config: dict) -> tuple[str, float]:
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 
 
 def _cmd_tc(args, config: dict) -> int:
@@ -284,7 +292,7 @@ _EXIT_CODES = {ConfigError: EXIT_CONFIG, ConvergenceError: EXIT_CONVERGENCE}
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = _load_config(args.config) if args.config else {}
+        config = _load_config(args.config, args.command) if args.config else {}
         return _COMMANDS[args.command][0](args, config)
     except BoseEosError as exc:
         print(f"error: {exc}", file=sys.stderr)

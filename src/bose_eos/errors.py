@@ -63,9 +63,5 @@ class UnsupportedRegime(BoseEosError):
     """
 
 
-class FitError(BoseEosError, ValueError):
-    """Degenerate or out-of-window data passed to an exponent fit."""
-
-
 class ConfigError(BoseEosError, ValueError):
     """Malformed configuration: config file or command-line flags."""

@@ -3,14 +3,15 @@
 `REGISTRY` lists every check in the order `bose-eos verify` prints them. Each
 entry states its level, its bound and, where it has one, the wall-time budget
 the acceptance suite holds it to; its measuring function states its inputs.
-The quick level exercises every closed-form identity and solver round trip in
-a few seconds; the full level adds the asymptotic-law ladder of a second
-dispersion and the slower finite-size convergence of the discrete momentum
-sum. The critical law is measured one way: the ratio of the asymptotic
-chemical potential to the exact solver's, which must fall towards 1 along a
-ladder of reduced temperatures. Work that several checks read is done once
-per run, by a `SharedWork`. Every check reports the measured worst-case value
-next to the bound it is held to; `verdict` writes the one-line PASS/FAIL form.
+The quick level exercises every closed-form identity and solver round trip,
+and one box mode sum at sigma = 1.5 that tests A(d, sigma), in a few seconds;
+the full level adds the asymptotic-law ladder of a second dispersion and the
+slower finite-size convergence of the discrete momentum sum. The critical law
+is measured one way: the ratio of the asymptotic chemical potential to the
+exact solver's, which must fall towards 1 along a ladder of reduced
+temperatures. Work that several checks read is done once per run, by a
+`SharedWork`. Every check reports the measured worst-case value next to the
+bound it is held to; `verdict` writes the one-line PASS/FAIL form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .criticality import chemical_potential_asymptotic, landau_free_energy, landau_model
 from .errors import DomainError
-from .gas import GasSpec, prefactor_A
+from .gas import GasSpec
 from .isobar import coexistence_consistency
 from .isochore import critical_temperature_density, density_at, solve_gap_isochore
 from .oracle import (
@@ -129,8 +130,16 @@ def _bose_at_zero(_: SharedWork) -> float:
     )
 
 
-def _prefactor(_: SharedWork) -> float:
-    return max(abs(prefactor_A(d, 2.0) - 1.0) for d in (1.0, 1.7, 2.0, 3.0, 4.0))
+def _box_at_sigma_1_5(_: SharedWork) -> float:
+    """The d=3, sigma=1.5 box density at L_STAR, T = 1, r = 0.5 against density_at.
+
+    At sigma != 2 the limit's prefactor A(d, sigma) is not 1 and the mode sum
+    does not use it, so an error in A shows beside the finite-size error: that
+    reads 1.24e-4, and an A off by 1e-3 moves it past the 2.5e-4 bound.
+    """
+    spec = GasSpec(d=3.0, sigma=1.5)
+    box = finite_density(spec, BoxSpec(L=L_STAR, d=3), 1.0, -0.5)
+    return abs(box / density_at(spec, 1.0, 0.5) - 1.0)
 
 
 def _isochore_roundtrip(_: SharedWork) -> float:
@@ -211,7 +220,7 @@ def _mu_checks(spec: GasSpec, level: str, suffix: str = "") -> tuple[Check, ...]
 REGISTRY: tuple[Check, ...] = (
     Check("bose-function-vs-brute-force-series", "quick", 1e-12, _bose_vs_series, 1.0),
     Check("bose-function-boundary-zeta", "quick", 1e-12, _bose_at_zero, 1.0),
-    Check("prefactor-A-at-sigma-2", "quick", 1e-14, _prefactor),
+    Check("prefactor-A-vs-box-sum-d3-sigma1.5", "quick", 2.5e-4, _box_at_sigma_1_5, 1.0),
     Check("isochore-density-roundtrip", "quick", 1e-10, _isochore_roundtrip, 5.0),
     Check("condensate-fraction-residual", "quick", 1e-12, _condensate),
     Check("coexistence-closure", "quick", 1e-8, _coexistence, 1.0),

@@ -315,6 +315,41 @@ def test_config_settings_inside_the_choices_are_taken(tmp_path, capsys):
     assert [row["T"] for row in doc["rows"]] == [4.0, 5.0]
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["tc", "--d", "3", "--sigma", "2", "--density", "1"], "level", "full"),
+        (["sweep", *SWEEP_ARGS], "t", "0.1"),
+    ],
+)
+def test_config_keys_outside_the_subcommand_are_a_config_error(tmp_path, capsys, command, key, value):
+    # once ignored and exit 0, while the same setting as a flag exits 4
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(f"# settings\n{key} = {value}\n")
+    assert bose_eos.cli.main([*command, "--config", str(cfg)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {cfg}:2: {command[0]} has no setting {key!r}\n"
+    assert bose_eos.cli.main([*command, f"--{key}", value]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", *SWEEP_ARGS],
+        ["landau", "--d", "3", "--sigma", "2", "--density", "1", "--t", "0.1"],
+    ],
+    ids=["sweep", "landau"],
+)
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
+    # once a FileNotFoundError traceback and exit 1, the code of a failed check
+    path = tmp_path / "missing" / "x.csv"
+    assert bose_eos.cli.main([*command, "--output", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write output file {str(path)!r}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_duplicate_columns_are_a_config_error(capsys):
     # once accepted: the JSON named "T" twice while each row held one "T"
     assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, "--columns", "T,r,T", "--format", "json"]) == 4

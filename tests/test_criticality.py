@@ -8,7 +8,6 @@ import pytest
 from bose_eos import (
     BranchError,
     DomainError,
-    FitError,
     GasSpec,
     UnsupportedRegime,
     chemical_potential_asymptotic,
@@ -17,11 +16,9 @@ from bose_eos import (
     dispersion_coefficient,
     equation_of_state,
     extract_exponents,
-    fit_exponent,
     landau_free_energy,
     landau_model,
     landau_taylor_coefficients,
-    loglog_slope,
     solve_gap_isochore,
     zeta_dirichlet,
 )
@@ -175,38 +172,10 @@ def test_critical_susceptibility_power_law():
         chi = correlation_quantities(spec, 0.0).chi
         with pytest.raises(DomainError):
             chi(0.0)
-        ks = np.geomspace(1e-3, 1.0, 10)
-        slope, err = loglog_slope(ks, [chi(float(k)) for k in ks])
-        assert slope == pytest.approx(-sigma, abs=1e-10)
-        assert err < 1e-10
-
-
-def test_fit_exponent_recovers_synthetic_power_law():
-    ts = np.geomspace(1e-5, 1e-2, 16)
-    curve = [(float(t), float(t) ** 1.7) for t in ts]
-    fit = fit_exponent(curve, "gamma_from_r")
-    assert fit.exponent == pytest.approx(1.7, abs=1e-6)
-    assert fit.std_error < 1e-6
-    inverse = [(float(t), float(t) ** -0.6) for t in ts]
-    fit = fit_exponent(inverse, "nu_from_xi")
-    assert fit.exponent == pytest.approx(0.6, abs=1e-6)
-
-
-def test_fit_exponent_preconditions():
-    ts = np.geomspace(1e-5, 1e-2, 16)
-    good = [(float(t), float(t)) for t in ts]
-    with pytest.raises(DomainError):
-        fit_exponent(good, "bogus_kind")
-    with pytest.raises(FitError):
-        fit_exponent(good[:5], "gamma_from_r")  # too few points
-    with pytest.raises(FitError):
-        fit_exponent([(t, -v) for t, v in good], "gamma_from_r")  # negative values
-    narrow = [(float(t), float(t)) for t in np.geomspace(1e-3, 5e-3, 16)]
-    with pytest.raises(FitError):
-        fit_exponent(narrow, "gamma_from_r")  # under two decades of t
-    shifted = [(10.0 * t, v) for t, v in good]
-    with pytest.raises(FitError):
-        fit_exponent(shifted, "gamma_from_r")  # outside the (0, 1e-2] window
+        ks = [float(k) for k in np.geomspace(1e-3, 1.0, 10)]
+        for k1, k2 in zip(ks, ks[1:]):
+            slope = math.log(chi(k2) / chi(k1)) / math.log(k2 / k1)
+            assert slope == pytest.approx(-sigma, abs=1e-10)
 
 
 def test_extract_exponents_full_set():
