@@ -4,9 +4,10 @@ and the self-verification suite.
 stdout carries data (JSON or CSV), stderr carries diagnostics. Exit codes:
 0 success, 1 verification-check failure, 2 domain error, 3 convergence
 error, 4 configuration error (flags, config file, an unwritable --output).
-Settings may come from a flat `key = value` config file holding the
-subcommand's own flags; explicit flags win on conflict. All numeric I/O is
-in natural units (hbar = k_B = 1) unless --units si is given.
+Each subcommand takes only the settings it reads, as flags spelled out in
+full or as keys of a flat `key = value` config file; `main` merges them
+once, a flag over the file over the default. All numeric I/O is in natural
+units (hbar = k_B = 1) unless --units si is given.
 """
 
 from __future__ import annotations
@@ -37,30 +38,33 @@ EXIT_CONFIG = 4
 
 _LANDAU_COLUMNS = ("t", "C_f", "psi2", "f_ordered", "f_disordered", "mu_asym")
 
-# Every setting, as a flag and as a config-file key: (type, choices, help).
+# Every setting, as a flag and as a config-file key: (type, choices, default, help).
 _SETTINGS = {
-    "d": (float, None, "spatial dimension (real, > 0)"),
-    "sigma": (float, None, "dispersion exponent (0, 2]"),
-    "mass": (float, None, "particle mass (default 1)"),
-    "units": (str, ("natural", "si"), "unit system"),
-    "density": (float, None, "number density (> 0)"),
-    "pressure": (float, None, "pressure (> 0)"),
-    "tmin": (float, None, "lowest temperature"),
-    "tmax": (float, None, "highest temperature"),
-    "points": (int, None, "grid size (default 50)"),
-    "spacing": (str, ("linear", "log"), "grid spacing"),
-    "columns": (str, None, f"comma-separated subset of {','.join(COLUMNS)}"),
-    "format": (str, ("csv", "json"), "output format"),
-    "output": (str, None, "write to file instead of stdout"),
-    "t": (str, None, "comma-separated reduced temperatures"),
+    "d": (float, None, None, "spatial dimension (real, > 0)"),
+    "sigma": (float, None, None, "dispersion exponent (0, 2]"),
+    "mass": (float, None, 1.0, "particle mass (default 1)"),
+    "units": (str, ("natural", "si"), "natural", "unit system"),
+    "density": (float, None, None, "number density (> 0)"),
+    "pressure": (float, None, None, "pressure (> 0)"),
+    "tmin": (float, None, None, "lowest temperature"),
+    "tmax": (float, None, None, "highest temperature"),
+    "points": (int, None, 50, "grid size (default 50)"),
+    "spacing": (str, ("linear", "log"), "linear", "grid spacing"),
+    "columns": (str, None, ",".join(COLUMNS), f"comma-separated subset of {','.join(COLUMNS)}"),
+    "format": (str, ("csv", "json"), "csv", "output format"),
+    "output": (str, None, None, "write to file instead of stdout"),
+    "t": (str, None, None, "comma-separated reduced temperatures"),
     # verify.LEVELS, which the parser reads without the suite
-    "level": (str, ("quick", "full"), "quick (default) or full"),
+    "level": (str, ("quick", "full"), "quick", "quick (default) or full"),
 }
-_GAS_SETTINGS = ("d", "sigma", "mass", "units")  # every subcommand's, after --config
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigError (exit 4)."""
+
+    def __init__(self, **kwargs):
+        # no prefixes of flags, as there are none of config keys; subparsers are _Parsers too
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -73,18 +77,18 @@ def _build_parser() -> _Parser:
         "dispersion eps(k) = hbar^2 k^sigma / 2m in d dimensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, summary, own) in _COMMANDS.items():
+    for command, (_, summary, keys) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
         cmd.add_argument("--config", help="flat key = value settings file")
-        for key in _GAS_SETTINGS + own:
-            kind, choices, help_text = _SETTINGS[key]
+        for key in keys:
+            kind, choices, _, help_text = _SETTINGS[key]
             cmd.add_argument(f"--{key}", type=kind, choices=choices, help=help_text)
     return parser
 
 
 def _load_config(path: str, command: str) -> dict:
     """Settings from a flat `key = value` file; each key must be one of `command`'s flags."""
-    scope = _GAS_SETTINGS + _COMMANDS[command][2]
+    scope = _COMMANDS[command][2]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -103,7 +107,7 @@ def _load_config(path: str, command: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         if key not in scope:
             raise ConfigError(f"{path}:{lineno}: {command} has no setting {key!r}")
-        kind, choices, _ = _SETTINGS[key]
+        kind, choices, _, _ = _SETTINGS[key]
         try:
             settings[key] = kind(value)
         except ValueError:
@@ -118,51 +122,44 @@ def _load_config(path: str, command: str) -> dict:
     return settings
 
 
-def _setting(args, config: dict, key: str, default=None, required: bool = False):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key, None)
+def _required(args, key: str):
+    value = getattr(args, key)
     if value is None:
-        value = config.get(key)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing required setting --{key}")
-        value = default
+        raise ConfigError(f"missing required setting --{key}")
     return value
 
 
-def _build_spec(args, config: dict) -> GasSpec:
+def _build_spec(args) -> GasSpec:
     return GasSpec(
-        d=_setting(args, config, "d", required=True),
-        sigma=_setting(args, config, "sigma", required=True),
-        mass=_setting(args, config, "mass", default=1.0),
-        units=_setting(args, config, "units", default="natural"),
+        d=_required(args, "d"), sigma=_required(args, "sigma"), mass=args.mass, units=args.units
     )
 
 
-def _constraint(args, config: dict) -> tuple[str, float]:
-    density = _setting(args, config, "density")
-    pressure = _setting(args, config, "pressure")
-    if (density is None) == (pressure is None):
-        raise ConfigError("exactly one of --density / --pressure is required")
-    if density is not None:
-        return "density", density
-    return "pressure", pressure
+def _constraint(args) -> tuple[str, float]:
+    if (args.density is None) == (args.pressure is None):
+        raise ConfigError(
+            "exactly one of density / pressure is required, as a flag or a config key"
+        )
+    if args.density is not None:
+        return "density", args.density
+    return "pressure", args.pressure
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
+def _write_table(table: SweepTable, args) -> None:
+    text = table.to_csv() if args.format == "csv" else table.to_json()
+    if args.output is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
+        raise ConfigError(f"cannot write output file {args.output!r}: {exc}") from None
 
 
-def _cmd_tc(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    kind, value = _constraint(args, config)
+def _cmd_tc(args) -> int:
+    spec = _build_spec(args)
+    kind, value = _constraint(args)
     payload = {"constraint": kind, "value": value, "units": spec.units}
     if kind == "pressure":
         payload["T_c"] = critical_temperature_pressure(spec, value)
@@ -179,33 +176,20 @@ def _cmd_tc(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    kind, value = _constraint(args, config)
-    columns_raw = _setting(args, config, "columns")
-    if columns_raw is None:
-        columns = COLUMNS
-    else:
-        columns = tuple(c.strip() for c in columns_raw.split(","))
-        unknown = [c for c in columns if c not in COLUMNS]
-        if unknown:
-            raise ConfigError(f"unknown columns {unknown}; available: {','.join(COLUMNS)}")
-        if len(set(columns)) < len(columns):
-            raise ConfigError(f"duplicate columns in {columns_raw!r}")
+def _cmd_sweep(args) -> int:
+    spec = _build_spec(args)
+    kind, value = _constraint(args)
     request = SweepRequest(
         spec=spec,
         constraint=kind,
         value=value,
-        T_min=_setting(args, config, "tmin", required=True),
-        T_max=_setting(args, config, "tmax", required=True),
-        points=_setting(args, config, "points", default=50),
-        spacing=_setting(args, config, "spacing", default="linear"),
-        columns=columns,
+        T_min=_required(args, "tmin"),
+        T_max=_required(args, "tmax"),
+        points=args.points,
+        spacing=args.spacing,
+        columns=tuple(c.strip() for c in args.columns.split(",")),
     )
-    table = run_sweep(request)
-    fmt = _setting(args, config, "format", default="csv")
-    text = table.to_csv() if fmt == "csv" else table.to_json()
-    _write_output(text, _setting(args, config, "output"))
+    _write_table(run_sweep(request), args)
     return EXIT_OK
 
 
@@ -227,61 +211,46 @@ def _landau_rows(spec: GasSpec, rho: float, t_values: list[float]) -> list[dict]
             f_ordered = landau_free_energy(model, 0.0)
             f_disordered = f_ordered
             mu_asym = chemical_potential_asymptotic(model, 0.0)
-        rows.append(
-            {
-                "t": t,
-                "C_f": model.C_f,
-                "psi2": psi2,
-                "f_ordered": f_ordered,
-                "f_disordered": f_disordered,
-                "mu_asym": mu_asym,
-            }
-        )
+        cells = (t, model.C_f, psi2, f_ordered, f_disordered, mu_asym)
+        rows.append(dict(zip(_LANDAU_COLUMNS, cells)))
     return rows
 
 
-def _cmd_landau(args, config: dict) -> int:
-    spec = _build_spec(args, config)
-    rho = _setting(args, config, "density", required=True)
-    t_raw = _setting(args, config, "t", required=True)
+def _cmd_landau(args) -> int:
+    spec = _build_spec(args)
+    rho = _required(args, "density")
+    t_raw = _required(args, "t")
     try:
-        t_values = [float(part) for part in str(t_raw).split(",") if part.strip()]
+        t_values = [float(part) for part in t_raw.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--t must be comma-separated numbers, got {t_raw!r}") from None
     if not t_values:
         raise ConfigError("--t must contain at least one reduced temperature")
-    table = SweepTable(columns=_LANDAU_COLUMNS, rows=tuple(_landau_rows(spec, rho, t_values)))
-    fmt = _setting(args, config, "format", default="csv")
-    text = table.to_csv() if fmt == "csv" else table.to_json()
-    _write_output(text, _setting(args, config, "output"))
+    rows = tuple(_landau_rows(spec, rho, t_values))
+    _write_table(SweepTable(columns=_LANDAU_COLUMNS, rows=rows), args)
     return EXIT_OK
 
 
-def _cmd_verify(args, config: dict) -> int:
+def _cmd_verify(args) -> int:
     from .verify import all_passed, run_checks, verdict
 
-    level = _setting(args, config, "level", default="quick")
-    results = run_checks(level)
+    results = run_checks(args.level)
     for res in results:
         print(verdict(res.name, res.passed, res.summary))
     passed = sum(res.passed for res in results)
-    print(f"{passed}/{len(results)} checks passed at level {level}")
+    print(f"{passed}/{len(results)} checks passed at level {args.level}")
     return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
 
 
-# Each subcommand's handler, help and own settings, which follow the gas's.
+# Each subcommand's handler, help and settings: exactly those the handler reads.
 _COMMANDS = {
-    "tc": (_cmd_tc, "critical temperature at fixed density or pressure", ("density", "pressure")),
-    "sweep": (
-        _cmd_sweep,
-        "temperature sweep along an isochore or isobar",
-        ("density", "pressure", "tmin", "tmax", "points", "spacing", "columns", "format", "output"),
-    ),
-    "landau": (
-        _cmd_landau,
-        "effective free-energy table over reduced temperatures",
-        ("density", "t", "format", "output"),
-    ),
+    "tc": (_cmd_tc, "critical temperature at fixed density or pressure",
+           ("d", "sigma", "mass", "units", "density", "pressure")),
+    "sweep": (_cmd_sweep, "temperature sweep along an isochore or isobar",
+              ("d", "sigma", "mass", "units", "density", "pressure", "tmin", "tmax", "points",
+               "spacing", "columns", "format", "output")),
+    "landau": (_cmd_landau, "effective free-energy table over reduced temperatures",
+               ("d", "sigma", "mass", "units", "density", "t", "format", "output")),
     "verify": (_cmd_verify, "run the cross-module verification suite", ("level",)),
 }
 
@@ -293,7 +262,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _load_config(args.config, args.command) if args.config else {}
-        return _COMMANDS[args.command][0](args, config)
+        handler, _, keys = _COMMANDS[args.command]
+        for key in keys:  # flag over config file over default
+            if getattr(args, key) is None:
+                setattr(args, key, config.get(key, _SETTINGS[key][2]))
+        return handler(args)
     except BoseEosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_DOMAIN)

@@ -55,9 +55,13 @@ def critical_temperature_pressure(spec: GasSpec, P: float) -> float:
 def solve_gap_isobar(spec: GasSpec, T: float, P: float) -> IsobarPoint:
     """Normal-phase state at temperature T and fixed pressure P.
 
-    Requires T >= T_c(P); temperatures inside the critical window return the
-    boundary point (r = 0), lower ones raise CondensedRegion. The density
-    follows from the normal branch of the density equation at the solved gap.
+    Requires T >= T_c(P); temperatures inside the critical window,
+    |t_P| <= CRITICAL_WINDOW = 1e-8, return the boundary point (r = 0), lower
+    ones raise CondensedRegion. The density follows from the normal branch of
+    the density equation at the solved gap. Inside the window the density is
+    the r = 0 one: at t_P = 9e-9 and P = 1 it is off by 1.5e-4 relative at
+    d = 3, sigma = 2, by 9.7e-3 at d = 2.5, sigma = 2, and by 5.2e-8 at d = 5,
+    sigma = 2 (against mpmath).
     """
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got T={T!r}")

@@ -30,8 +30,12 @@ REGIME_CONDENSED = "condensed"
 REGIME_CRITICAL = "critical"
 REGIME_BOUNDARY = "condensed_boundary"  # an isobar's r = 0 state, at T_c(P)
 
-# Reduced temperatures below solver resolution are reported as critical
-# instead of chasing a root smaller than float noise allows.
+# States with |t| <= CRITICAL_WINDOW are given r = 0, regime critical on an
+# isochore and condensed_boundary on an isobar, although the solver resolves
+# many of them. The cost, against mpmath at t = 9e-9 and P = 1: the isobar
+# density is off by 1.5e-4 relative at d = 3, sigma = 2, where the true
+# r / T = 1.2e-8 is easy to resolve; by 9.7e-3 at d = 2.5, sigma = 2; and by
+# 5.2e-8 at d = 5, sigma = 2.
 CRITICAL_WINDOW = 1e-8
 
 

@@ -14,7 +14,7 @@ import pytest
 import bose_eos
 import bose_eos.cli
 import bose_eos.isochore
-from bose_eos import GasSpec, critical_temperature_density
+from bose_eos import DomainError, GasSpec, SweepRequest, critical_temperature_density
 from bose_eos.verify import LEVELS, REGISTRY
 
 
@@ -320,6 +320,8 @@ def test_config_settings_inside_the_choices_are_taken(tmp_path, capsys):
     [
         (["tc", "--d", "3", "--sigma", "2", "--density", "1"], "level", "full"),
         (["sweep", *SWEEP_ARGS], "t", "0.1"),
+        (["verify"], "d", "3"),  # verify reads no gas setting
+        (["verify"], "units", "si"),
     ],
 )
 def test_config_keys_outside_the_subcommand_are_a_config_error(tmp_path, capsys, command, key, value):
@@ -350,10 +352,48 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
-def test_duplicate_columns_are_a_config_error(capsys):
+def test_duplicate_columns_are_a_domain_error(capsys):
     # once accepted: the JSON named "T" twice while each row held one "T"
-    assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, "--columns", "T,r,T", "--format", "json"]) == 4
-    assert capsys.readouterr().err == "error: duplicate columns in 'T,r,T'\n"
+    assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, "--columns", "T,r,T", "--format", "json"]) == 2
+    assert capsys.readouterr().err == "error: duplicate columns in ('T', 'r', 'T')\n"
+
+
+@pytest.mark.parametrize("columns", ["T,r,T", "T, x", ""])
+def test_bad_columns_get_the_sweep_requests_answer(tmp_path, capsys, columns):
+    # the CLI once checked them too, with exit 4 and its own text
+    listed = tuple(c.strip() for c in columns.split(","))
+    with pytest.raises(DomainError) as exc:
+        SweepRequest(GasSpec(3.0, 2.0), "density", 1.0, 4.0, 5.0, 2, columns=listed)
+    assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, f"--columns={columns}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    cfg = tmp_path / "columns.cfg"
+    cfg.write_text(f"columns = {columns}\n")
+    assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+@pytest.mark.parametrize(
+    "command, rest",
+    [
+        (["tc", "--d", "3", "--sig", "2", "--dens", "1"], "--sig 2 --dens 1"),
+        (["sweep", *SWEEP_ARGS, "--t", "0.1"], "--t 0.1"),
+    ],
+    ids=["prefixes", "ambiguous-prefix"],
+)
+def test_abbreviated_flags_are_a_config_error(capsys, command, rest):
+    # once taken as --sigma and --density (exit 0), as config keys never were,
+    # or reported as "ambiguous option: --t could match --tmin, --tmax"
+    assert bose_eos.cli.main(command) == 4
+    assert capsys.readouterr() == ("", f"error: unrecognized arguments: {rest}\n")
+
+
+def test_both_constraints_from_a_config_file_name_no_flag(tmp_path, capsys):
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("density = 1\npressure = 1\n")
+    assert bose_eos.cli.main(["tc", "--d", "3", "--sigma", "2", "--config", str(cfg)]) == 4
+    assert capsys.readouterr() == (
+        "", "error: exactly one of density / pressure is required, as a flag or a config key\n"
+    )
 
 
 def test_missing_constraint_is_a_config_error():

@@ -33,7 +33,7 @@ from bose_eos import (
     solve_gap_isochore,
 )
 from bose_eos.rootfind import solve_bose_equation
-from bose_eos.special import CLASSICAL_Y, SMALL_Y_SWITCH
+from bose_eos.special import CLASSICAL_Y, SMALL_Y_SWITCH, gamma, zeta
 
 EPS = sys.float_info.epsilon
 ORDERS = st.floats(min_value=1.0, max_value=8.0, exclude_min=True)
@@ -255,6 +255,39 @@ def test_isochore_next_to_tc_at_d_over_sigma_just_above_one():
     pt = solve_gap_isochore(spec, T, 1.0)
     assert pt.regime == "normal" and pt.r > 0.0
     assert density_at(spec, T, pt.r) == pytest.approx(1.0, rel=1e-10)
+
+
+def _two_term_gap_law(nu: float, target: float) -> float:
+    """Root y of |Gamma(1-nu)| y^(nu-1) - |zeta(nu-1)| y = zeta(nu) - target, 1 < nu < 2.
+
+    Two terms of the Robinson expansion of g_nu(y) = target; the next term,
+    zeta(nu-2) y^2 / 2, is y^(3-nu) of the lead. Newton in ln y from the
+    leading law's root, in doubles, on zeta and gamma alone.
+    """
+    a, b, delta = abs(gamma(1.0 - nu)), abs(zeta(nu - 1.0)), zeta(nu) - target
+    u = math.log(delta / a) / (nu - 1.0)
+    for _ in range(8):
+        lead = a * math.exp((nu - 1.0) * u)
+        u -= (lead - b * math.exp(u) - delta) / ((nu - 1.0) * lead - b * math.exp(u))
+    return math.exp(u)
+
+
+# Per rung: the law's worst error against mpmath (50 digits) over d = 3 and
+# d = 2.5 (sigma = 2), plus the shift in r from one ulp of the target, rounded up.
+GAP_LAW_RUNGS = {1e-6: 2e-9, 1e-7: 1e-8, 2e-8: 5e-8}
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP F, the stop near T_c")
+@pytest.mark.parametrize("t", sorted(GAP_LAW_RUNGS, reverse=True))
+@pytest.mark.parametrize("d", [3.0, 2.5])
+def test_isochore_gap_next_to_tc_follows_the_two_term_law(d, t):
+    # off by 8.3e-8 to 3.1e-6 today: the solve stops at |phi| <= 1e-13 and
+    # bisects linearly in r below the Newton floor
+    spec, nu = GasSpec(d=d, sigma=2.0), d / 2.0
+    T = (1.0 + t) * critical_temperature_density(spec, 1.0)
+    target = 1.0 / (T / (2.0 * math.pi)) ** nu  # rho / (lambda_T^-d A) at rho = 1
+    law = _two_term_gap_law(nu, target)
+    assert abs(solve_gap_isochore(spec, T, 1.0).r / T / law - 1.0) <= GAP_LAW_RUNGS[t]
 
 
 @pytest.mark.parametrize("solve", [solve_gap_isochore, solve_gap_isobar])
