@@ -125,7 +125,7 @@ def _load_config(path: str, command: str) -> dict:
 def _required(args, key: str):
     value = getattr(args, key)
     if value is None:
-        raise ConfigError(f"missing required setting --{key}")
+        raise ConfigError(f"missing required setting {key} (flag --{key} or config key {key})")
     return value
 
 
@@ -219,13 +219,13 @@ def _landau_rows(spec: GasSpec, rho: float, t_values: list[float]) -> list[dict]
 def _cmd_landau(args) -> int:
     spec = _build_spec(args)
     rho = _required(args, "density")
-    t_raw = _required(args, "t")
+    t_raw, name = _required(args, "t"), "setting t (flag --t or config key t)"
     try:
         t_values = [float(part) for part in t_raw.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"--t must be comma-separated numbers, got {t_raw!r}") from None
+        raise ConfigError(f"{name} must be comma-separated numbers, got {t_raw!r}") from None
     if not t_values:
-        raise ConfigError("--t must contain at least one reduced temperature")
+        raise ConfigError(f"{name} must contain at least one reduced temperature")
     rows = tuple(_landau_rows(spec, rho, t_values))
     _write_table(SweepTable(columns=_LANDAU_COLUMNS, rows=rows), args)
     return EXIT_OK

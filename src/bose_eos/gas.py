@@ -185,19 +185,11 @@ def _all_normal(*values: float) -> bool:
     return all(_FLOAT_MIN <= v < math.inf for v in values)
 
 
-# The orders of _convert, as steps of the inward map value L0^d / E0^k: 0 divides
-# by E0^k, 1 multiplies by L0^d, 2 by L0^(d/2); the outward map inverts each step
-# and takes them in reverse. The first is the direct order, the second halves a
-# subnormal L0^d (SI past d = 13.64); the rest serve where a first step would leave
-# the normal doubles, as a natural pressure below 1.6e-285 times E0 does.
-_ORDERS = ((1, 0), (2, 0, 2), (0, 1), (0, 2, 2), (2, 2, 0))
-
-
 def _unit_map(spec: GasSpec, k: int) -> tuple[float, float, float]:
     """(E0^k, L0^d, L0^(d/2)), what _convert takes once per request; k = 1 for a pressure.
 
-    A length factor outside the normal doubles is NaN, so no order uses it:
-    in SI, L0^d is subnormal past d = 13.64 and L0^(d/2) past d = 27.29.
+    A length factor outside the normal doubles is NaN: in SI, L0^d is
+    subnormal past d = 13.64 and L0^(d/2) past d = 27.29.
     """
     energy, length = _scales(spec)
     powers = length**spec.d, length ** (0.5 * spec.d)
@@ -208,34 +200,33 @@ def _unit_map(spec: GasSpec, k: int) -> tuple[float, float, float]:
 def _convert(units: tuple[float, float, float], x: float, inward: bool) -> float:
     """x L0^d / E0^k in natural units (inward), or x E0^k / L0^d in spec units.
 
-    ``units`` is _unit_map(spec, k). The steps follow the first of _ORDERS
-    whose input and intermediates are all normal doubles, so each step rounds
-    once, and the direct order gives the bits of the plain product; where no
-    order keeps them normal (x is 0, inf or subnormal), the first order the
-    factors allow. A map with neither length factor is a DomainError, and so
-    is an inward result outside the normal doubles.
+    ``units`` is _unit_map(spec, k). Where L0^d and the first product are
+    normal doubles this is the plain product. Elsewhere the steps L0^(d/2),
+    E0^k, L0^(d/2) act on the mantissa of x, each moved by 2^512 away from
+    the side its factor pushes it, so that every step rounds a normal double
+    once; one ldexp puts the exponent back (inf past the doubles). A map
+    with neither length factor is a DomainError, and so is an inward result
+    outside the normal doubles.
     """
     energy, full, half = units
     value = x * full if inward else x * energy
-    if _FLOAT_MIN <= value < math.inf and full == full:  # _ORDERS[0], inline for a sweep row
+    if _FLOAT_MIN <= value < math.inf and full == full:
         value = value / energy if inward else value / full
     elif half != half:  # and so L0^d, the smaller power of L0 < 1
         raise DomainError(
             "L0^d and L0^(d/2) leave the normal doubles: no density or pressure converts"
         )
     else:
-        allowed = []  # the results of the orders whose length factors the map has
-        for order in _ORDERS:
-            value, normal = x, True
-            for step in order if inward else order[::-1]:
-                normal = normal and _FLOAT_MIN <= value < math.inf
-                value = value / units[step] if (step == 0) == inward else value * units[step]
-            if value == value:  # NaN where the order takes the missing L0^d
-                if normal:
-                    break
-                allowed.append(value)
-        else:
-            value = allowed[0] if allowed else x
+        mantissa, exponent = math.frexp(x)
+        for factor, multiply in ((half, inward), (energy, not inward), (half, inward)):
+            shift = 512 if (factor < 1.0) == multiply else -512
+            step = math.ldexp(mantissa, shift)
+            mantissa, moved = math.frexp(step * factor if multiply else step / factor)
+            exponent += moved - shift
+        try:
+            value = math.ldexp(mantissa, exponent)
+        except OverflowError:
+            value = math.copysign(math.inf, mantissa)
     if inward and not _FLOAT_MIN <= value < math.inf:
         raise DomainError(f"{x!r} is {value!r} in natural units, outside the normal doubles")
     return value

@@ -79,9 +79,9 @@ class SweepRequest(_SweepRequest):
             raise DomainError(f"spacing must be one of {_SPACINGS}, got {spacing!r}")
         unknown = [c for c in columns if c not in COLUMNS]
         if unknown or not columns:
-            raise DomainError(f"unknown columns {unknown}; available: {COLUMNS}")
+            raise DomainError(f"unknown columns {','.join(unknown)}; available: {','.join(COLUMNS)}")
         if len(set(columns)) < len(columns):
-            raise DomainError(f"duplicate columns in {tuple(columns)}")
+            raise DomainError(f"duplicate columns in {','.join(columns)}")
         return super().__new__(cls, spec, constraint, value, T_min, T_max, points, spacing, columns)
 
     @classmethod

@@ -355,7 +355,7 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
 def test_duplicate_columns_are_a_domain_error(capsys):
     # once accepted: the JSON named "T" twice while each row held one "T"
     assert bose_eos.cli.main(["sweep", *SWEEP_ARGS, "--columns", "T,r,T", "--format", "json"]) == 2
-    assert capsys.readouterr().err == "error: duplicate columns in ('T', 'r', 'T')\n"
+    assert capsys.readouterr().err == "error: duplicate columns in T,r,T\n"
 
 
 @pytest.mark.parametrize("columns", ["T,r,T", "T, x", ""])
@@ -393,6 +393,22 @@ def test_both_constraints_from_a_config_file_name_no_flag(tmp_path, capsys):
     assert bose_eos.cli.main(["tc", "--d", "3", "--sigma", "2", "--config", str(cfg)]) == 4
     assert capsys.readouterr() == (
         "", "error: exactly one of density / pressure is required, as a flag or a config key\n"
+    )
+
+
+def test_missing_setting_names_its_flag_and_its_config_key(capsys):
+    # once "missing required setting --tmin", naming the flag only
+    tmin = SWEEP_ARGS.index("--tmin")
+    assert bose_eos.cli.main(["sweep", *SWEEP_ARGS[:tmin], *SWEEP_ARGS[tmin + 2:]]) == 4
+    assert capsys.readouterr() == (
+        "", "error: missing required setting tmin (flag --tmin or config key tmin)\n"
+    )
+
+
+def test_bad_landau_t_names_its_flag_and_its_config_key(capsys):
+    assert bose_eos.cli.main(["landau", "--d", "3", "--sigma", "2", "--density", "1", "--t=a"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: setting t (flag --t or config key t) must be comma-separated numbers, got 'a'\n"
     )
 
 

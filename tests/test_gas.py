@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -334,22 +335,40 @@ def test_si_pressure_of_a_small_natural_pressure_is_exact(natural):
     assert abs(Fraction(_spec_constraint(RB87, natural, 1)) / exact - 1) <= Fraction(1, 10**15)
 
 
-def test_si_conversions_are_exact_wherever_input_and_result_are_normal():
-    # A seeded sample of integer SI d = 1 to 26 over every decade of the doubles,
-    # both ways: each step of the unit map rounds a normal double once
+def test_si_pressure_from_a_subnormal_natural_pressure():
+    # At y = 625 the natural pressure, about 1.3e-310, is subnormal: times E0 it
+    # was 0.0 Pa. It holds about 44 bits, hence the bound
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e0 = mpmath.mpf("1.380649e-23")  # k_B * 1 K, J
+        l0 = mpmath.mpf("1.054571817e-34") / mpmath.sqrt(e0)
+        thermal = (mpmath.mpf(RB87.mass) / (2 * mpmath.pi)) ** mpmath.mpf(1.5)  # T = 1 K
+        exact = e0 * thermal / l0**3 * mpmath.polylog(2.5, mpmath.exp(-625))
+    assert pressure_at(RB87, 1.0, 625 * KB_SI) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+def test_si_conversions_are_exact_wherever_the_result_is_normal():
+    # A seeded sample of integer SI d = 1 to 26 over every decade of the doubles
+    # and over the subnormals, both ways, and the one subnormal range that goes in
+    # (a pressure at d = 1, where L0 / E0 is about 2): each step of the unit map
+    # rounds a normal double once. Subnormal x gave 0.0, lost bits or a DomainError
     rng = random.Random(24)
+    cases = [(rng.randint(1, 26), rng.randint(0, 1), rng.random() < 0.5,
+              rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-308, 307)) for _ in range(3000)]
+    cases += [(rng.randint(1, 26), rng.randint(0, 1), rng.random() < 0.5,
+               math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1074, -1023))) for _ in range(1000)]
+    cases += [(1, 1, True, x) for x in (1.2e-308, 2e-308, 2.2e-308)]
     low, high = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
-    checked = 0
-    for _ in range(3000):
-        d, k, inward = rng.randint(1, 26), rng.randint(0, 1), rng.random() < 0.5
+    checked = Counter()
+    for d, k, inward, x in cases:
         spec = GasSpec(float(d), 2.0, 1.443160648e-25, "si")
-        x = rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-308, 307)
         energy, length = (Fraction(v) for v in _scales(spec))
         scale = length**d / energy**k if inward else energy**k / length**d
         exact = Fraction(x) * scale
-        if not (sys.float_info.min <= x < sys.float_info.max and low <= exact < high):
+        if not low <= exact < high:
             continue
-        checked += 1
+        checked[x < sys.float_info.min, inward] += 1
         value = (_natural_constraint if inward else _spec_constraint)(spec, x, k)
         assert abs(Fraction(value) / exact - 1) <= Fraction(1, 10**15), (d, k, inward, x)
-    assert checked > 1000
+    assert checked[False, False] > 500 and checked[False, True] > 500
+    assert checked[True, False] > 300 and checked[True, True] == 3

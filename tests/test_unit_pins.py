@@ -1,11 +1,11 @@
 """Bit pins of everything that crosses the unit map, wherever its steps stay normal.
 
 ``data/unit_pins.json`` lists ``[call, args, expected]`` triples: the
-``repr`` of a result, or ``"ErrorType: text"``. They were taken before the
-unit map got its one order-choosing conversion, and only at inputs where the
+``repr`` of a result, or ``"ErrorType: text"``. They were taken before
+``gas._convert`` made every conversion, and only at inputs where the
 conversion steps of that code (value * L0^d / E0^k inward, value * E0^k / L0^d
 outward, or L0^d in two halves where it is subnormal) all stayed normal
-doubles with a margin of 2^20. There the rewrite must give the same bits:
+doubles with a margin of 2^20. There ``_convert`` must give the same bits:
 both conversions for SI d = 1, 3, 13.7, 14.2 and 27 and natural specs; T_c,
 point solves and the evaluators of both constraints, classical rows
 (y >= 37) included; SI and natural sweeps with isobar sentinel rows;
