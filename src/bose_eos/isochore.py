@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .gas import _LN_MAX, GasSpec, _convert, _natural_constraint, _prefactor, _scales
+from .gas import _FLOAT_MIN, _LN_MAX, GasSpec, _convert, _natural_constraint, _prefactor, _scales
 from .gas import _spec_constraint, _transition, _unit_map
 from .rootfind import solve_bose_equation
 from .special import CLASSICAL_Y, bose_g, zeta
@@ -110,6 +110,10 @@ def _constraint_at(spec: GasSpec, T: float, r_nat: float, k: int) -> float:
         natural = T**k * pref * bose_g(spec.d_over_sigma + k, y).value
     try:
         value = _spec_constraint(spec, natural, k)
+        if y >= CLASSICAL_Y and not _FLOAT_MIN <= natural < math.inf:  # convert ln(natural)
+            energy, length = _scales(spec)
+            log_value = log_pref + (k * math.log(energy) - spec.d * math.log(length)) - y
+            value = math.exp(log_value) if log_value <= _LN_MAX else math.inf
         if not value < math.inf:
             raise DomainError(f"{('rho', 'P')[k]} = {value!r} is outside the double range")
     except DomainError as exc:  # or no length factor converts it: SI past d = 27.29

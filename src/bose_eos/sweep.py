@@ -1,7 +1,8 @@
 """Temperature sweeps along isochores and isobars, with stable serialization.
 
 Rows are solved one after another in grid order, ascending in temperature,
-and floats are formatted with 17 significant digits, so identical requests
+and serialized a column at a time, a float column in one map of its format
+(17 significant digits in CSV, json's repr in JSON), so identical requests
 produce byte-identical output. The grids are built in plain floats by
 ``linspace`` and ``geomspace``, numpy's formulas without numpy's
 CPU-dependent SIMD rounding, so the bytes do not depend on the host either.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -25,10 +27,6 @@ CONSTRAINT_DENSITY = "density"
 CONSTRAINT_PRESSURE = "pressure"
 _CONSTRAINTS = (CONSTRAINT_DENSITY, CONSTRAINT_PRESSURE)
 _SPACINGS = ("linear", "log")
-# Encodes the list of sweep rows with the item separator json.dumps(...,
-# indent=2) puts between a row's items, which sit at depth 3 inside the
-# "rows" list; SweepTable.to_json indents the braces and the joins of rows.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
 class _SweepRequest(NamedTuple):
@@ -97,31 +95,51 @@ class SweepTable(NamedTuple):
     rows: tuple[dict, ...] = ()
 
     def to_csv(self) -> str:
-        columns = self.columns
-        lines = [f"# {SCHEMA_VERSION} columns: {','.join(columns)}"]
-        for row in self.rows:  # a float cell inline, as _format_cell formats it
-            cells = [f"{v + 0.0:.17g}" if v.__class__ is float else _format_cell(v)
-                     for v in map(row.__getitem__, columns)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        lines = map(",".join, self._cells(self.columns, "%.17g".__mod__, "", _format_cell))
+        return "\n".join([f"# {SCHEMA_VERSION} columns: {','.join(self.columns)}", *lines]) + "\n"
 
     def to_json(self) -> str:
-        r"""json.dumps(doc, indent=2, allow_nan=False) of the table, byte for byte.
+        """json.dumps(doc, indent=2, allow_nan=False) of the table, byte for byte.
 
-        indent=2 would take json's pure-Python encoder; the rows go through
-        the C encoder instead, in one call on the list of flat row dicts, and
-        get the indented frame here. A newline appears only in the encoder's
-        separators, never inside an encoded string, and no encoded cell ends
-        in a brace, so "},\n      {" occurs exactly where two rows join.
+        indent=2 would take json's pure-Python encoder; here the cells are
+        encoded a column at a time and each row fills one template of the
+        encoded keys, so a row costs one string formatting.
         """
         head = json.dumps({"schema": SCHEMA_VERSION, "columns": list(self.columns)}, indent=2)
         if not self.rows:
             return head[:-2] + ',\n  "rows": []\n}\n'
-        columns = self.columns
-        body = _ROW_ENCODER.encode([{c: _json_cell(row[c]) for c in columns} for row in self.rows])
-        start, end = ("{\n      ", "\n    }") if columns else ("{", "}")  # an empty row stays "{}"
-        rows = body[2:-2].replace("},\n      {", f"{end},\n    {start}")
-        return f'{head[:-2]},\n  "rows": [\n    {start}{rows}{end}\n  ]\n}}\n'
+        columns = tuple(dict.fromkeys(self.columns))  # a repeated column is one key of a row
+        keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
+        items = ",\n".join(f"      {key}: %s" for key in keys)
+        template = f"    {{\n{items}\n    }}" if columns else "    {}"
+        cells = self._cells(columns, float.__repr__, "null", _json_text)
+        rows = ",\n".join(map(template.__mod__, cells))
+        return f'{head[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
+
+    def _cells(self, columns, fmt, none: str, cell):
+        """Each row's tuple of cell texts, built a column at a time by _column_texts."""
+        texts = [_column_texts(list(map(operator.itemgetter(c), self.rows)), fmt, none, cell)
+                 for c in columns]
+        return zip(*texts) if texts else [()] * len(self.rows)
+
+
+def _column_texts(values: list, fmt, none: str, cell) -> list[str]:
+    """One column's cell texts: none for None, fmt of each finite float with -0.0 folded.
+
+    A column with any other cell, nan and +-inf included, takes the per-cell rule ``cell``.
+    """
+    kinds = set(map(type, values))
+    floats = [v for v in values if v is not None] if kinds == {float, type(None)} else values
+    if kinds - {type(None)} != {float} or not math.isfinite(sum(floats)):
+        return list(map(cell, values))
+    if floats.count(floats[0]) == len(floats):  # one value, such as the held density
+        texts = [fmt(floats[0] + 0.0)] * len(floats)
+    else:
+        texts = list(map(fmt, map(0.0.__add__, floats)))
+    if floats is values:
+        return texts
+    texts = iter(texts)
+    return [none if v is None else next(texts) for v in values]
 
 
 def _format_cell(value) -> str:
@@ -132,13 +150,16 @@ def _format_cell(value) -> str:
     return format(float(value) + 0.0, ".17g")  # + 0.0 folds -0.0 into 0
 
 
-def _json_cell(value):
-    if value is None or isinstance(value, str):
-        return value
-    value = float(value) + 0.0
-    if not math.isfinite(value):
-        return format(value, ".17g")
-    return value
+def _json_text(value) -> str:
+    """A cell as json.dumps writes it, after folding -0.0 into 0 and nan, +-inf into text."""
+    if value is None:
+        return "null"
+    if not isinstance(value, str):
+        value = float(value) + 0.0
+        if math.isfinite(value):
+            return repr(value)
+        value = format(value, ".17g")
+    return encode_basestring_ascii(value)
 
 
 def linspace(start: float, stop: float, points: int) -> list[float]:

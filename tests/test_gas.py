@@ -347,6 +347,25 @@ def test_si_pressure_from_a_subnormal_natural_pressure():
     assert pressure_at(RB87, 1.0, 625 * KB_SI) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [640, 700, 720])
+def test_si_classical_values_whose_natural_form_leaves_the_doubles(n):
+    # At T = 1 K and r = n k_B * 1 K the natural density and pressure are subnormal
+    # (n = 640) or zero, while the SI values are normal doubles: the classical
+    # branch converts their log. Pressure, density and -Omega were 5.7e-8 off at
+    # n = 640 and 0.0 at 700 and 720, where the pressure is 2.07e-298 and 4.27e-307 Pa
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e0 = mpmath.mpf("1.380649e-23")  # k_B * 1 K, J
+        l0 = mpmath.mpf("1.054571817e-34") / mpmath.sqrt(e0)
+        thermal = (mpmath.mpf(RB87.mass) / (2 * mpmath.pi)) ** mpmath.mpf(1.5) / l0**3  # T = 1 K
+        exact_rho = thermal * mpmath.polylog(1.5, mpmath.exp(-n))
+        exact_p = e0 * thermal * mpmath.polylog(2.5, mpmath.exp(-n))
+    r = n * KB_SI
+    assert density_at(RB87, 1.0, r) == pytest.approx(float(exact_rho), rel=1e-13, abs=0.0)
+    assert pressure_at(RB87, 1.0, r) == pytest.approx(float(exact_p), rel=1e-13, abs=0.0)
+    assert -grand_potential(RB87, 1.0, r) == pytest.approx(float(exact_p), rel=1e-13, abs=0.0)
+
+
 def test_si_conversions_are_exact_wherever_the_result_is_normal():
     # A seeded sample of integer SI d = 1 to 26 over every decade of the doubles
     # and over the subnormals, both ways, and the one subnormal range that goes in

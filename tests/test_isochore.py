@@ -303,7 +303,8 @@ def test_evaluator_overflow_is_a_domain_error_naming_the_state(evaluator, units)
     # lambda_T^-d A zeta(1.5) ~ 1.7e299 / L0^3 ~ 7e366 in SI; each once came back as +-inf.
     # At d = 1000, sigma = 1, T = 1, y = 40 is classical and e^(ln(T^k lambda_T^-d A) - y)
     # = e^(2728 - 40) once raised a bare OverflowError
-    # At SI d = 28, L0^d and L0^(d/2) are both subnormal: no density or pressure converts
+    # At SI d = 28, L0^d and L0^(d/2) are both subnormal: no density or pressure converts,
+    # also on the classical branch (y = 7243) where the natural value underflows to 0
     spec = GasSpec(d=3.0, sigma=2.0, mass=1.0, units=units)
     for state, names in (
         ((spec, 1e200, 0.0), ("d=3", "sigma=2", "T=1e+200", "double range")),
@@ -311,6 +312,8 @@ def test_evaluator_overflow_is_a_domain_error_naming_the_state(evaluator, units)
          ("d=1000", "sigma=1", "T=1.0", "double range")),
         ((GasSpec(28.0, 2.0, 1e-25, "si"), 1e-6, 1e-30),
          ("d=28", "sigma=2", "T=1e-06", "L0^(d/2)")),
+        ((GasSpec(28.0, 2.0, 1e-25, "si"), 1.0, 1e-19),
+         ("d=28", "sigma=2", "T=1.0", "L0^(d/2)")),
     ):
         with pytest.raises(DomainError) as info:
             evaluator(*state)

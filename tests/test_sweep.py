@@ -30,6 +30,7 @@ from bose_eos import (
 )
 
 SPEC32 = GasSpec(d=3.0, sigma=2.0)
+SI_RB87 = GasSpec(3.0, 2.0, 1.443160648e-25, "si")
 
 
 def density_request(**overrides) -> SweepRequest:
@@ -231,6 +232,39 @@ def _table_strategies(st):
     }
 
 
+def _per_cell_texts(table) -> tuple[str, str]:
+    """(CSV, JSON) of a table by the per-cell rules: the bytes to_csv and to_json must give.
+
+    A CSV cell is empty for None, text as it is, and otherwise 17 digits with
+    -0.0 folded into 0. A JSON cell is None or text as it is, and otherwise a
+    float with -0.0 folded into 0 and nan, +-inf as their 17-digit text; the
+    document is json.dumps(indent=2) of schema, columns and rows.
+    """
+
+    def csv_cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        return format(float(value) + 0.0, ".17g")
+
+    def json_cell(value):
+        if value is None or isinstance(value, str):
+            return value
+        value = float(value) + 0.0
+        return value if math.isfinite(value) else format(value, ".17g")
+
+    columns, rows = list(table.columns), table.rows
+    lines = [f"# bose-eos v1 columns: {','.join(columns)}"]
+    lines += [",".join(csv_cell(row[c]) for c in columns) for row in rows]
+    doc = {
+        "schema": "bose-eos v1",
+        "columns": columns,
+        "rows": [{c: json_cell(row[c]) for c in columns} for row in rows],
+    }
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def test_json_equals_the_indented_dump_byte_for_byte():
     hypothesis = pytest.importorskip("hypothesis")
 
@@ -238,12 +272,7 @@ def test_json_equals_the_indented_dump_byte_for_byte():
     @hypothesis.given(**_table_strategies(hypothesis.strategies))
     def check(columns, rows):
         table = bose_eos.sweep.SweepTable(columns=tuple(columns), rows=tuple(rows))
-        doc = {
-            "schema": "bose-eos v1",
-            "columns": columns,
-            "rows": [{c: bose_eos.sweep._json_cell(row[c]) for c in columns} for row in rows],
-        }
-        assert table.to_json() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert table.to_json() == _per_cell_texts(table)[1]
 
     check()
 
@@ -251,22 +280,45 @@ def test_json_equals_the_indented_dump_byte_for_byte():
 def test_csv_equals_the_per_cell_formula_byte_for_byte():
     hypothesis = pytest.importorskip("hypothesis")
 
-    def cell(value):  # empty for None, text as it is, 17 digits with -0.0 folded into 0
-        if value is None:
-            return ""
-        if isinstance(value, str):
-            return value
-        return format(float(value) + 0.0, ".17g")
-
     @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
     @hypothesis.given(**_table_strategies(hypothesis.strategies))
     def check(columns, rows):
         table = bose_eos.sweep.SweepTable(columns=tuple(columns), rows=tuple(rows))
-        lines = [f"# bose-eos v1 columns: {','.join(columns)}"]
-        lines += [",".join(cell(row[c]) for c in columns) for row in rows]
-        assert table.to_csv() == "\n".join(lines) + "\n"
+        assert table.to_csv() == _per_cell_texts(table)[0]
 
     check()
+
+
+@pytest.mark.parametrize(
+    "spec, constraint, value, spacing, columns",
+    [
+        (SPEC32, "density", 1.0, "linear", COLUMNS),  # condensed rows hold mu = -0.0
+        (SPEC32, "pressure", 1.0, "linear", COLUMNS),  # sentinel rows below T_c(P)
+        (SI_RB87, "density", 1e19, "log", COLUMNS),
+        (SI_RB87, "pressure", 1e-11, "log", COLUMNS),
+        (SPEC32, "density", 1.0, "linear", ("rho",)),  # the only column holds one value
+    ],
+)
+def test_sweep_tables_equal_the_per_cell_rules(spec, constraint, value, spacing, columns):
+    isochore = constraint == "density"
+    tc = (critical_temperature_pressure, critical_temperature_density)[isochore](spec, value)
+    request = SweepRequest(spec=spec, constraint=constraint, value=value, T_min=0.25 * tc,
+                           T_max=4.0 * tc, points=256, spacing=spacing, columns=columns)
+    table = run_sweep(request)
+    if isochore:  # across T_c; mu = -0.0 where condensed
+        assert {"condensed", "normal"} <= {row["regime"] for row in table.rows}
+        assert any(math.copysign(1.0, row["mu"]) < 0.0 == row["mu"] for row in table.rows)
+    else:  # sentinel rows below T_c(P), solved rows above it
+        assert {row["r"] is None for row in table.rows} == {True, False}
+    assert (table.to_csv(), table.to_json()) == _per_cell_texts(table)
+
+
+def test_tables_whose_every_column_holds_one_value_equal_the_per_cell_rules():
+    # also a repeated column, one key of a JSON row, and a key holding "%"
+    row = {"rho": 1.5, "P": -0.0, "psi2": 0.0, "regime": "normal", "r": None, "%s": 2}
+    for columns in (("rho",), ("P", "psi2", "regime"), ("r", "%s"), ("rho", "P", "rho")):
+        table = bose_eos.sweep.SweepTable(columns=columns, rows=(row,) * 6)
+        assert (table.to_csv(), table.to_json()) == _per_cell_texts(table)
 
 
 def test_json_serializes_infinite_density_as_string():
